@@ -16,7 +16,6 @@ import (
 	gort "runtime"
 	"testing"
 
-	"heardof/internal/abcast"
 	"heardof/internal/acr"
 	"heardof/internal/adversary"
 	"heardof/internal/core"
@@ -25,6 +24,7 @@ import (
 	"heardof/internal/fd"
 	"heardof/internal/kvstore"
 	"heardof/internal/lastvoting"
+	"heardof/internal/live"
 	"heardof/internal/modelcheck"
 	"heardof/internal/otr"
 	"heardof/internal/predicate"
@@ -671,26 +671,6 @@ func BenchmarkMicro_ACRConsensus(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_AtomicBroadcastBatch measures delivering a 30-message
-// burst through batched atomic broadcast under 15% loss.
-func BenchmarkMicro_AtomicBroadcastBatch(b *testing.B) {
-	rng := xrand.New(3)
-	for i := 0; i < b.N; i++ {
-		bc, err := abcast.New(5, otr.Algorithm{}, func(int) core.HOProvider {
-			return &adversary.TransmissionLoss{Rate: 0.15, RNG: rng.Fork()}
-		}, 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for m := 0; m < 30; m++ {
-			bc.Broadcast(core.ProcessID(m%5), "payload")
-		}
-		if _, err := bc.Drain(100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMicro_ModelCheckOTRN3 measures the exhaustive n=3 safety
 // verification of OneThirdRule.
 func BenchmarkMicro_ModelCheckOTRN3(b *testing.B) {
@@ -709,13 +689,14 @@ func BenchmarkMicro_ModelCheckOTRN3(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_KVStoreSlot measures one replicated-KV consensus slot
-// under 20% loss (n=5).
+// BenchmarkMicro_KVStoreSlot measures replicating one command through a
+// 5-replica KV group under 20% loss, in virtual rounds.
 func BenchmarkMicro_KVStoreSlot(b *testing.B) {
-	rng := xrand.New(1)
-	cluster, err := kvstore.NewCluster(5, otr.Algorithm{}, func(int) core.HOProvider {
-		return &adversary.TransmissionLoss{Rate: 0.2, RNG: rng.Fork()}
-	}, 500)
+	cluster, err := kvstore.NewCluster(1, live.CoreConfig[kvstore.Command]{
+		N: 5, Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{},
+	}, func(int) core.HOProvider {
+		return &adversary.TransmissionLoss{Rate: 0.2, RNG: xrand.New(1)}
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -724,7 +705,7 @@ func BenchmarkMicro_KVStoreSlot(b *testing.B) {
 		if err := cluster.Submit(i%5, kvstore.Command{Op: kvstore.OpPut, Key: "k", Value: "v"}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cluster.DecideSlot(); err != nil {
+		if _, err := cluster.Drain(1000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,13 +1,13 @@
 // Command hoload is the closed-loop load harness for the replication
-// service layer (internal/rsm under internal/kvstore, and internal/shard
-// above both): a configurable client population drives the batched +
-// pipelined engine — or, with -shards > 1, a sharded fleet of engines —
-// through chosen fault environments and the run reports throughput,
-// slots-per-command amortization, and latency-in-rounds percentiles.
+// service: a configurable client population drives a simulated KV
+// cluster — S groups of n live.ReplicaCore replicas run by internal/rsm's
+// virtual-round driver — through chosen fault environments, and the run
+// reports throughput, slots-per-command amortization, and
+// latency-in-rounds percentiles.
 //
-// All measurements are in simulated rounds, so stdout is byte-identical
-// for a given flag set regardless of host speed or -parallel; wall-clock
-// timing goes to stderr.
+// All measurements are in virtual rounds, so stdout is byte-identical
+// for a given flag set regardless of host speed; wall-clock timing goes
+// to stderr.
 //
 // Usage:
 //
@@ -15,9 +15,9 @@
 //	hoload -env loss -loss 0.3              # sustained 30% transmission loss
 //	hoload -env crash                       # rotating crash-recovery epochs
 //	hoload -clients 64 -ops 2000 -dist zipfian -rate 0.9
-//	hoload -batch 16 -pipeline 8            # service-layer tuning
+//	hoload -batch 16 -maxticks 50000        # batch cap and run budget
 //	hoload -shards 4                        # 4 independent groups, all -env
-//	hoload -shards 4 -shardenvs good,loss,crash   # per-shard environments
+//	hoload -shards 4 -shardenvs good,loss,crash   # per-group environments
 //	hoload -zipf 0                          # an explicit s=0 IS honored
 //
 // With -http host:port[,host:port...] hoload instead drives a LIVE
@@ -41,9 +41,10 @@ import (
 	"heardof/internal/adversary"
 	"heardof/internal/core"
 	"heardof/internal/kvstore"
+	"heardof/internal/live"
 	"heardof/internal/otr"
 	"heardof/internal/rsm"
-	"heardof/internal/shard"
+	"heardof/internal/xrand"
 )
 
 func main() {
@@ -55,23 +56,20 @@ func main() {
 
 func run() error {
 	var (
-		n         = flag.Int("n", 5, "number of replicas per shard")
+		n         = flag.Int("n", 5, "number of replicas per group")
 		env       = flag.String("env", "good", "fault environment: good, loss, crash")
 		lossRate  = flag.Float64("loss", 0.2, "transmission loss probability for loss environments")
 		shards    = flag.Int("shards", 1, "independent replication groups over a partitioned keyspace")
-		shardenvs = flag.String("shardenvs", "", "comma-separated per-shard environments, cycled across shards (default: -env everywhere)")
+		shardenvs = flag.String("shardenvs", "", "comma-separated per-group environments, cycled across groups (default: -env everywhere)")
 		clients   = flag.Int("clients", 16, "closed-loop client population")
-		rate      = flag.Float64("rate", 0.7, "per-window submission probability of an idle client")
+		rate      = flag.Float64("rate", 0.7, "per-round submission probability of an idle client")
 		writes    = flag.Float64("writes", 0.75, "write fraction of the operation mix")
 		keys      = flag.Int("keys", 48, "key-space size")
 		dist      = flag.String("dist", "zipfian", "key distribution: uniform or zipfian")
 		zipfS     = flag.Float64("zipf", 0.99, "zipfian exponent (0 is uniform; the default is the YCSB 0.99)")
 		ops       = flag.Int("ops", 500, "commands to complete")
-		batch     = flag.Int("batch", 8, "commands per consensus slot (1..63)")
-		pipeline  = flag.Int("pipeline", 4, "consensus slots in flight per window")
-		parallel  = flag.Int("parallel", 0, "sweep workers for in-flight slots and shards (0 = natural width)")
-		maxRounds = flag.Int("maxrounds", 400, "round budget per consensus slot")
-		maxSlots  = flag.Int("maxslots", 0, "slot budget for the whole run (0 = 20×ops)")
+		batch     = flag.Int("batch", 8, "most commands per proposed batch")
+		maxTicks  = flag.Int("maxticks", 0, "virtual-round budget for the whole run (0 = 40×ops)")
 		seed      = flag.Uint64("seed", 1, "workload and environment seed")
 
 		httpTo    = flag.String("http", "", "drive a live hoserve deployment at these comma-separated HTTP addresses instead of the simulator")
@@ -95,6 +93,9 @@ func run() error {
 	if *shards < 1 {
 		return fmt.Errorf("shards = %d, need ≥ 1", *shards)
 	}
+	if *batch < 1 {
+		return fmt.Errorf("batch = %d, need ≥ 1", *batch)
+	}
 	var keyDist rsm.KeyDist
 	switch *dist {
 	case "uniform":
@@ -104,33 +105,44 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown key distribution %q (want uniform or zipfian)", *dist)
 	}
-	budget := *maxSlots
+	budget := *maxTicks
 	if budget == 0 {
-		budget = 20 * *ops
+		budget = 40 * *ops
 	}
-	wcfg := rsm.WorkloadConfig{
-		Clients: *clients, Rate: *rate, WriteRatio: *writes,
-		Keys: *keys, Dist: keyDist, ZipfS: *zipfS,
-		Ops: *ops, MaxSlots: budget, Seed: *seed,
+	envs := []string{*env}
+	if *shardenvs != "" {
+		envs = strings.Split(*shardenvs, ",")
+		for i, e := range envs {
+			envs[i] = strings.TrimSpace(e)
+		}
 	}
-	tune := rsm.Tuning{BatchSize: *batch, Pipeline: *pipeline, Parallel: *parallel}
-
-	if *shards > 1 || *shardenvs != "" {
-		return runSharded(*shards, *shardenvs, *env, *n, *lossRate, *parallel,
-			core.Round(*maxRounds), tune, wcfg)
+	envOf := func(g int) string { return envs[g%len(envs)] }
+	// Validate every named environment up front — including entries the
+	// group count would not reach, so a typo'd list always errors.
+	for _, e := range envs {
+		if _, err := buildProvider(e, *lossRate, *seed); err != nil {
+			return err
+		}
 	}
-
-	provider, err := buildProvider(*env, *n, *lossRate, *seed)
-	if err != nil {
-		return err
+	providers := func(g int) core.HOProvider {
+		// Seed each group's environment from (seed, group) so group
+		// environments are independent streams.
+		p, _ := buildProvider(envOf(g), *lossRate, *seed+uint64(g)*1000003)
+		return p
 	}
-	cluster, err := kvstore.NewClusterTuned(*n, otr.Algorithm{}, provider, core.Round(*maxRounds), tune)
+	cluster, err := kvstore.NewCluster(*shards, live.CoreConfig[kvstore.Command]{
+		N: *n, Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{}, MaxBatch: *batch,
+	}, providers)
 	if err != nil {
 		return err
 	}
 
 	start := time.Now()
-	res, err := rsm.RunWorkload(cluster.Engine(), wcfg, kvstore.WorkloadCommand)
+	res, err := rsm.RunWorkload(cluster.Groups(), rsm.WorkloadConfig{
+		Clients: *clients, Rate: *rate, WriteRatio: *writes,
+		Keys: *keys, Dist: keyDist, ZipfS: *zipfS,
+		Ops: *ops, MaxTicks: budget, Seed: *seed,
+	}, kvstore.WorkloadCommand, kvstore.WorkloadRoute(*shards))
 	elapsed := time.Since(start)
 	if err != nil {
 		return err
@@ -139,101 +151,41 @@ func run() error {
 		return fmt.Errorf("replicas diverged — impossible if consensus safety holds")
 	}
 
-	fmt.Printf("config env=%s n=%d clients=%d rate=%g writes=%g keys=%d dist=%s ops=%d batch=%d pipeline=%d seed=%d\n",
-		*env, *n, *clients, *rate, *writes, *keys, keyDist, *ops, *batch, *pipeline, *seed)
-	printResult(res)
-	fmt.Fprintf(os.Stderr, "hoload: %d commands in %v (%.0f cmds/sec wall)\n",
-		res.Completed, elapsed.Round(time.Millisecond), float64(res.Completed)/elapsed.Seconds())
-	return nil
-}
-
-// runSharded is the -shards > 1 (or -shardenvs) path: S independent
-// groups with per-shard fault environments, the sharded closed loop, and
-// per-shard + aggregate reporting.
-func runSharded(shards int, shardenvs, defaultEnv string, n int, lossRate float64,
-	parallel int, maxRounds core.Round, tune rsm.Tuning, wcfg rsm.WorkloadConfig) error {
-	envs := []string{defaultEnv}
-	if shardenvs != "" {
-		envs = strings.Split(shardenvs, ",")
-		for i, e := range envs {
-			envs[i] = strings.TrimSpace(e)
+	fmt.Printf("config env=%s shards=%d shardenvs=%s n=%d clients=%d rate=%g writes=%g keys=%d dist=%s ops=%d batch=%d seed=%d\n",
+		*env, *shards, *shardenvs, *n, *clients, *rate, *writes, *keys, keyDist, *ops, *batch, *seed)
+	if *shards > 1 || *shardenvs != "" {
+		for g, pg := range res.PerGroup {
+			fmt.Printf("shard %d env=%s completed=%d slots=%d rounds=%d lat p50=%d p95=%d p99=%d\n",
+				g, envOf(g), pg.Completed, pg.Slots, pg.Rounds, pg.LatencyP50, pg.LatencyP95, pg.LatencyP99)
 		}
 	}
-	envOf := func(s int) string { return envs[s%len(envs)] }
-	// Validate every named environment up front (buildProvider errors on
-	// unknown names and bad loss rates) — including entries the current
-	// shard count would not reach, so a typo'd list always errors.
-	for _, e := range envs {
-		if _, err := buildProvider(e, n, lossRate, wcfg.Seed); err != nil {
-			return err
-		}
-	}
-	providers := func(s int) func(slot int) core.HOProvider {
-		// Seed each shard's environment from (seed, shard) so shard
-		// environments are independent streams and independent of S-1
-		// other shards' consumption.
-		p, err := buildProvider(envOf(s), n, lossRate, wcfg.Seed+uint64(s)*1000003)
-		if err != nil { // unreachable: validated above
-			panic(err)
-		}
-		return p
-	}
-	cluster, err := kvstore.NewShardedCluster(shard.Config{Shards: shards, Parallel: parallel},
-		n, otr.Algorithm{}, providers, maxRounds, tune)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := shard.RunWorkload(cluster.Sharded(), wcfg, kvstore.WorkloadCommand, kvstore.WorkloadRouteKey)
-	elapsed := time.Since(start)
-	if err != nil {
-		return err
-	}
-	if !cluster.Converged() {
-		return fmt.Errorf("a shard's replicas diverged — impossible if consensus safety holds")
-	}
-
-	fmt.Printf("config env=%s shards=%d shardenvs=%s n=%d clients=%d rate=%g writes=%g keys=%d dist=%s ops=%d batch=%d pipeline=%d seed=%d\n",
-		defaultEnv, shards, shardenvs, n, wcfg.Clients, wcfg.Rate, wcfg.WriteRatio,
-		wcfg.Keys, wcfg.Dist, wcfg.Ops, tune.BatchSize, tune.Pipeline, wcfg.Seed)
-	for s, ps := range res.PerShard {
-		fmt.Printf("shard %d env=%s completed=%d slots=%d wall_rounds=%d lat p50=%d p95=%d p99=%d\n",
-			s, envOf(s), ps.Completed, ps.Slots, ps.WallRounds,
-			ps.LatencyP50, ps.LatencyP95, ps.LatencyP99)
-	}
-	printResult(res.Aggregate)
-	fmt.Fprintf(os.Stderr, "hoload: %d commands over %d shards in %v (%.0f cmds/sec wall)\n",
-		res.Aggregate.Completed, shards, elapsed.Round(time.Millisecond),
-		float64(res.Aggregate.Completed)/elapsed.Seconds())
-	return nil
-}
-
-// printResult emits the measurement block shared by the single-group and
-// sharded (aggregate) paths.
-func printResult(res rsm.WorkloadResult) {
 	fmt.Printf("completed %d\n", res.Completed)
 	fmt.Printf("slots %d\n", res.Slots)
 	fmt.Printf("slots_per_cmd %.4f\n", res.SlotsPerCmd)
-	fmt.Printf("cmds_per_round %.4f\n", res.CmdsPerRound)
-	fmt.Printf("wall_rounds %d\n", res.WallRounds)
-	fmt.Printf("total_rounds %d\n", res.TotalRounds)
+	fmt.Printf("cmds_per_round %.4f\n", res.CmdsPerTick)
+	fmt.Printf("wall_rounds %d\n", res.Ticks)
+	fmt.Printf("total_rounds %d\n", res.Rounds)
+	fmt.Printf("divergent %d\n", res.Divergent)
 	fmt.Printf("latency_rounds p50=%d p95=%d p99=%d\n", res.LatencyP50, res.LatencyP95, res.LatencyP99)
+	fmt.Fprintf(os.Stderr, "hoload: %d commands over %d groups in %v (%.0f cmds/sec wall)\n",
+		res.Completed, *shards, elapsed.Round(time.Millisecond), float64(res.Completed)/elapsed.Seconds())
+	return nil
 }
 
-// buildProvider maps an environment name to a per-slot HO provider — the
-// same shared factories (internal/adversary) experiments E10 and E11
+// buildProvider maps an environment name to a group's HO environment
+// over virtual rounds — the same environments experiments E10 and E11
 // tabulate, so hoload runs are directly comparable to those tables.
-func buildProvider(env string, n int, loss float64, seed uint64) (func(slot int) core.HOProvider, error) {
+func buildProvider(env string, loss float64, seed uint64) (core.HOProvider, error) {
 	switch env {
 	case "good":
-		return adversary.SlotFull(), nil
+		return adversary.Full{}, nil
 	case "loss":
 		if loss < 0 || loss >= 1 {
 			return nil, fmt.Errorf("loss rate %v outside [0, 1)", loss)
 		}
-		return adversary.SlotLoss(loss, seed), nil
+		return &adversary.TransmissionLoss{Rate: loss, RNG: xrand.New(seed)}, nil
 	case "crash":
-		return adversary.SlotRotatingCrash(n, 10), nil
+		return adversary.RotatingCrash{Epoch: 20}, nil
 	default:
 		return nil, fmt.Errorf("unknown environment %q (want good, loss or crash)", env)
 	}

@@ -9,13 +9,13 @@
 // failure-detector baselines the paper argues against (Chandra–Toueg ◇S
 // consensus and the Aguilera et al. crash-recovery consensus).
 //
-// Above the reproduction sits a growing service stack: a batched +
-// pipelined replication engine (internal/rsm) with atomic broadcast and
-// a replicated KV store on top, a sharded multi-group layer
-// (internal/shard), and — first to leave simulated time — a live
-// deployment runtime (internal/live, internal/livekv) that runs the
-// same algorithm instances over real channel/TCP transports behind the
-// cmd/hoserve HTTP server.
+// Above the reproduction sits a service stack with ONE replica core
+// (live.ReplicaCore: batched proposals, decision sync, exactly-once
+// sessions) and two ways to run its rounds: a deterministic
+// virtual-round driver (internal/rsm) under the simulated, sharded KV
+// store (internal/kvstore), and a live deployment runtime
+// (internal/live, internal/livekv) that runs the same core over real
+// channel/TCP transports behind the cmd/hoserve HTTP server.
 //
 // The public surface lives in the internal packages (this module is a
 // self-contained research artifact); see DESIGN.md for the system inventory
@@ -30,7 +30,6 @@
 //	system model:              internal/simtime (§4.1), internal/stable
 //	baselines:                 internal/runtime, internal/fd, internal/ctcs,
 //	                           internal/acr
-//	service layers:            internal/rsm, internal/abcast,
-//	                           internal/kvstore, internal/shard
+//	service layers:            internal/rsm, internal/kvstore
 //	live runtime (real time):  internal/live, internal/livekv (DESIGN.md §9)
 package heardof

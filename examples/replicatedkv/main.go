@@ -2,14 +2,13 @@
 // ("consensus is related to replication and appears when implementing
 // atomic broadcast...").
 //
-// Five replicas replicate a key-value store through the batched +
-// pipelined service layer (internal/rsm): each consensus slot decides a
-// BATCH of commands, up to two slots run in flight per window, and every
-// submission rides a client session with exactly-once dedup. The network
-// suffers dynamic transient faults — every message may be lost — yet all
+// Five replicas replicate a key-value store through the deployed replica
+// core (live.ReplicaCore), stepped in virtual rounds by internal/rsm:
+// each consensus slot decides a BATCH of commands, and every submission
+// rides a client session with exactly-once dedup. The network suffers
+// dynamic transient faults — every message may be lost — yet all
 // replicas apply the same commands in the same order and converge. The
-// engine stats show what batching buys: well under one consensus slot
-// per command.
+// stats show what batching buys: fewer consensus slots than commands.
 //
 // Run with: go run ./examples/replicatedkv
 package main
@@ -19,29 +18,32 @@ import (
 	"log"
 
 	"heardof/internal/adversary"
+	"heardof/internal/core"
 	"heardof/internal/kvstore"
+	"heardof/internal/live"
 	"heardof/internal/otr"
-	"heardof/internal/rsm"
+	"heardof/internal/xrand"
 )
 
 func main() {
 	const n = 5
 
-	// Every slot's consensus instance runs under 25% iid message loss
-	// (the DT fault class — the most general benign class of §2.2),
-	// drawn from the same shared environment factory the E10/E11
-	// experiment tables and cmd/hoload use.
-	provider := adversary.SlotLoss(0.25, 99)
-
-	cluster, err := kvstore.NewClusterTuned(n, otr.Algorithm{}, provider, 500,
-		rsm.Tuning{BatchSize: 4, Pipeline: 2})
+	// Every virtual round loses each message independently with
+	// probability 25% (the DT fault class — the most general benign class
+	// of §2.2), the loss environment of the E10/E11 tables and
+	// cmd/hoload.
+	env := func(int) core.HOProvider {
+		return &adversary.TransmissionLoss{Rate: 0.25, RNG: xrand.New(99)}
+	}
+	cluster, err := kvstore.NewCluster(1, live.CoreConfig[kvstore.Command]{
+		N: n, Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{}, MaxBatch: 4,
+	}, env)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Clients contact different replicas; each contact runs its own
-	// client session (Submit is always a fresh command; Engine().Submit
-	// models retries of an identified one).
+	// client session, so every Submit is a fresh command.
 	workload := []struct {
 		contact int
 		cmd     kvstore.Command
@@ -61,21 +63,21 @@ func main() {
 		fmt.Printf("client → replica %d: %v\n", w.contact, w.cmd)
 	}
 
-	fmt.Println("\nreplicating under 25% message loss (batch 4, pipeline 2)...")
-	applied, err := cluster.Drain(100)
+	fmt.Println("\nreplicating under 25% message loss (batches of up to 4)...")
+	applied, err := cluster.Drain(500)
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := cluster.Engine().Stats()
-	fmt.Printf("%d commands over %d slots (%.2f slots/cmd, %d wall rounds, %d consensus rounds)\n\n",
-		applied, st.Slots, float64(st.Slots)/float64(st.Committed), st.WallRounds, st.TotalRounds)
+	st := cluster.Stats()
+	fmt.Printf("%d commands over %d slots (%.2f slots/cmd, %d virtual rounds, %d consensus rounds over all replicas)\n\n",
+		applied, st.Slots, float64(st.Slots)/float64(st.Committed), st.Ticks, st.Rounds)
 
 	if !cluster.Converged() {
 		log.Fatal("replicas diverged — impossible if consensus safety holds")
 	}
 	fmt.Println("all replicas converged; replica 0's view:")
 	for _, key := range []string{"alice", "bob", "carol", "dave"} {
-		if v, ok := cluster.Replica(0).SM.Get(key); ok {
+		if v, ok := cluster.Get(key); ok {
 			fmt.Printf("  %s = %s\n", key, v)
 		} else {
 			fmt.Printf("  %s   (absent)\n", key)

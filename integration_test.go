@@ -7,13 +7,15 @@ import (
 	"fmt"
 	"testing"
 
-	"heardof/internal/abcast"
 	"heardof/internal/adversary"
 	"heardof/internal/core"
+	"heardof/internal/kvstore"
 	"heardof/internal/lastvoting"
+	"heardof/internal/live"
 	"heardof/internal/otr"
 	"heardof/internal/predicate"
 	"heardof/internal/predimpl"
+	"heardof/internal/rsm"
 	"heardof/internal/simtime"
 	"heardof/internal/tracefile"
 	"heardof/internal/uv"
@@ -141,30 +143,48 @@ func TestCoarseAndFineExecutionsAgree(t *testing.T) {
 }
 
 // TestAtomicBroadcastOnReplicatedValues pushes an interleaved workload
-// through atomic broadcast under loss and checks the order is a single
-// total order consistent with submission.
+// through atomic broadcast — the replica core's totally ordered log —
+// under loss, and checks that every process delivers every message once,
+// in one total order that keeps each sender's messages in send order.
 func TestAtomicBroadcastOnReplicatedValues(t *testing.T) {
-	rng := xrand.New(11)
-	b, err := abcast.New(5, otr.Algorithm{}, func(int) core.HOProvider {
-		return &adversary.TransmissionLoss{Rate: 0.2, RNG: rng.Fork()}
-	}, 300)
+	const n, msgs = 5, 30
+	delivered := make([][]string, n)
+	g, err := rsm.NewGroup(live.CoreConfig[kvstore.Command]{
+		N: n, Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{}, Batch: kvstore.Codec{},
+	}, &adversary.TransmissionLoss{Rate: 0.2, RNG: xrand.New(11)},
+		func(p int, e live.Entry[kvstore.Command]) {
+			delivered[p] = append(delivered[p], e.Cmd.Value)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const msgs = 30
 	for i := 0; i < msgs; i++ {
-		b.Broadcast(core.ProcessID(i%5), fmt.Sprintf("m%d", i))
+		sender := i % n
+		if _, err := g.SubmitNext(sender, uint64(sender), kvstore.Command{Op: kvstore.OpPut, Key: "m", Value: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := b.Drain(100); err != nil {
+	if err := rsm.Settle([]*rsm.Group[kvstore.Command]{g}, 1000); err != nil {
 		t.Fatal(err)
 	}
-	got := b.Delivered()
-	if len(got) != msgs {
-		t.Fatalf("delivered %d of %d", len(got), msgs)
+	if len(delivered[0]) != msgs {
+		t.Fatalf("delivered %d of %d", len(delivered[0]), msgs)
 	}
-	for i, m := range got {
-		if m.Payload != fmt.Sprintf("m%d", i) {
-			t.Errorf("position %d: %q", i, m.Payload)
+	last := make([]int, n)
+	for i := range last {
+		last[i] = -1
+	}
+	for pos, v := range delivered[0] {
+		var m int
+		fmt.Sscan(v, &m)
+		if m <= last[m%n] {
+			t.Errorf("position %d: message %d delivered after %d from the same sender", pos, m, last[m%n])
+		}
+		last[m%n] = m
+	}
+	for p := 1; p < n; p++ {
+		if fmt.Sprint(delivered[p]) != fmt.Sprint(delivered[0]) {
+			t.Errorf("process %d delivered %v, process 0 %v", p, delivered[p], delivered[0])
 		}
 	}
 }

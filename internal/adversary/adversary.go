@@ -345,36 +345,29 @@ func (g *GoodBad) HOSets(r core.Round, n int) []core.PIDSet {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Per-slot environment factories for the service layer (internal/rsm).
-// ---------------------------------------------------------------------------
-
-// SlotFull is the fault-free per-slot environment: every slot's instance
-// runs under HO(p, r) = Π.
-func SlotFull() func(slot int) core.HOProvider {
-	return func(int) core.HOProvider { return Full{} }
+// RotatingCrash is a crash-recovery schedule over rounds: in every
+// Epoch-round epoch one rotating process is cut off — it hears nobody
+// and nobody hears it — for the first half, and recovers with its state
+// intact for the second. At most one process is down at a time, so a
+// >2n/3-quorum algorithm keeps deciding for n ≥ 4.
+type RotatingCrash struct {
+	Epoch core.Round
 }
 
-// SlotLoss subjects every slot to iid transmission loss. Each slot's
-// provider owns an RNG derived from (seed, slot), so the factory is
-// deterministic regardless of pipelining or call order.
-func SlotLoss(rate float64, seed uint64) func(slot int) core.HOProvider {
-	return func(slot int) core.HOProvider {
-		return &TransmissionLoss{Rate: rate, RNG: xrand.New(seed + 1000003*uint64(slot))}
+// HOSets implements core.HOProvider.
+func (c RotatingCrash) HOSets(r core.Round, n int) []core.PIDSet {
+	out := Full{}.HOSets(r, n)
+	if c.Epoch < 2 {
+		return out
 	}
-}
-
-// SlotRotatingCrash is a crash-recovery schedule at slot granularity: in
-// every epochLen-slot epoch, one rotating process is crashed for the
-// first half and recovers for the second. At most one process is down at
-// a time, so a >2n/3-quorum algorithm keeps deciding throughout.
-func SlotRotatingCrash(n, epochLen int) func(slot int) core.HOProvider {
-	return func(slot int) core.HOProvider {
-		epoch, phase := slot/epochLen, slot%epochLen
-		if phase < epochLen/2 {
-			victim := core.ProcessID(epoch % n)
-			return CrashStop{CrashRound: map[core.ProcessID]core.Round{victim: 1}}
-		}
-		return Full{}
+	epoch, phase := (r-1)/c.Epoch, (r-1)%c.Epoch
+	if phase >= c.Epoch/2 {
+		return out
 	}
+	victim := core.ProcessID(int(epoch) % n)
+	for p := range out {
+		out[p] = out[p].Remove(victim)
+	}
+	out[victim] = 0
+	return out
 }

@@ -217,3 +217,30 @@ func TestArbitraryEmptyBias(t *testing.T) {
 		t.Error("Arbitrary produced only empty sets")
 	}
 }
+
+func TestRotatingCrashCutsOffOneVictimPerEpochHalf(t *testing.T) {
+	n := 5
+	rc := RotatingCrash{Epoch: 4}
+	for r := core.Round(1); r <= 24; r++ {
+		ho := rc.HOSets(r, n)
+		epoch, phase := int(r-1)/4, int(r-1)%4
+		down := phase < 2
+		victim := core.ProcessID(epoch % n)
+		for p := 0; p < n; p++ {
+			want := core.FullSet(n)
+			switch {
+			case !down:
+			case core.ProcessID(p) == victim:
+				want = 0
+			default:
+				want = want.Remove(victim)
+			}
+			if ho[p] != want {
+				t.Fatalf("round %d: HO(%d) = %v, want %v", r, p, ho[p], want)
+			}
+		}
+	}
+	if ho := (RotatingCrash{}).HOSets(1, n); ho[0] != core.FullSet(n) {
+		t.Errorf("epoch < 2 should be fault-free, got %v", ho[0])
+	}
+}

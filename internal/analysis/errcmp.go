@@ -1,7 +1,7 @@
 // errcmp enforces sentinel-error matching through errors.Is. The
 // service layers deliberately wrap their sentinels (core.ErrNotDecided
-// travels inside AgreedValue errors, rsm.ErrSlotUndecided is aliased by
-// kvstore and abcast, the wal errors gain context on the replay path),
+// travels inside AgreedValue errors, rsm.ErrTickBudget is wrapped with
+// the run's progress, the wal errors gain context on the replay path),
 // so a == comparison that happens to pass today silently stops matching
 // the first time a call site adds %w context.
 

@@ -10,7 +10,7 @@
 //
 // Two subtleties the runner handles:
 //
-//   - Generic functions (the rsm batch path) produce escape
+//   - Generic functions (the live replica core) produce escape
 //     diagnostics only when an instantiating package compiles, and the
 //     positions map back to the generic source. The runner therefore
 //     compiles every matched package and matches positions globally,

@@ -5,8 +5,8 @@
 //	//holint:hotpath
 //
 // directly above its declaration is declared allocation-free on its
-// steady-state path: the simtime event loop, the rsm batch codec, the
-// live envelope encode/decode, the wal append path. The annotation has
+// steady-state path: the simtime event loop, the live envelope
+// encode/decode, the wal append path. The annotation has
 // two enforcement halves:
 //
 //   - This analyzer (always on) checks annotation hygiene — a

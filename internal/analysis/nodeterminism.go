@@ -22,7 +22,6 @@ var determinismContractPkgs = map[string]bool{
 	"heardof/internal/sweep":       true,
 	"heardof/internal/simtime":     true,
 	"heardof/internal/rsm":         true,
-	"heardof/internal/shard":       true,
 	"heardof/internal/modelcheck":  true,
 	"heardof/internal/experiments": true,
 	"heardof/internal/predimpl":    true,

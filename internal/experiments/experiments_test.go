@@ -191,7 +191,7 @@ func TestE10AmortizationAcrossEnvironments(t *testing.T) {
 
 // TestE10DeterministicAcrossParallel is the workload half of this repo's
 // determinism contract: the E10 table is byte-identical whether the sweep
-// (and the engine pipeline inside each cell) runs on one worker or eight.
+// runs its cells on one worker or eight.
 func TestE10DeterministicAcrossParallel(t *testing.T) {
 	render := func(parallel int) string {
 		tbl := New(Config{Seed: 1, Parallel: parallel}).E10Service(context.Background())
@@ -244,9 +244,8 @@ func TestE11ScalingShape(t *testing.T) {
 }
 
 // TestE11DeterministicAcrossParallel extends the determinism contract to
-// the sharded layer: table bytes are identical whether the sweep, the
-// shard fan-out inside each cell, and each group's pipeline run on one
-// worker or eight.
+// the sharded table: its bytes are identical whether the sweep runs its
+// cells on one worker or eight.
 func TestE11DeterministicAcrossParallel(t *testing.T) {
 	render := func(parallel int) string {
 		tbl := New(Config{Seed: 1, Parallel: parallel}).E11Sharding(context.Background())

@@ -1,12 +1,12 @@
 // E12: the live smoke comparison — the same replicated-KV workload
-// shape pushed through the two implementation layers the repo now has:
-// the deterministic simulator (shard.RunWorkload over kvstore, simulated
+// shape pushed through the two implementation layers the repo has: the
+// deterministic simulator (rsm.RunWorkload over kvstore.Cluster, virtual
 // rounds) and the live runtime (a livekv cluster over the in-process
 // channel transport, real clocks and goroutines). The point is the
-// paper's separation of concerns made concrete: the algorithm layer
-// (LastVoting instances) is IDENTICAL in both arms; only the layer
-// below the rounds changes, and safety — agreement, convergence, zero
-// divergence — must survive the move unchanged.
+// paper's separation of concerns made concrete: both arms run IDENTICAL
+// replica code (live.ReplicaCore with LastVoting instances); only the
+// layer below the rounds changes, and safety — agreement, convergence,
+// zero divergence — must survive the move unchanged.
 //
 // Unlike E1–E11, the live arm measures real time: its numbers vary with
 // the host and the scheduler, so E12 is NOT part of the byte-determinism
@@ -21,24 +21,23 @@ import (
 	"sync"
 	"time"
 
-	"heardof/internal/adversary"
 	"heardof/internal/core"
 	"heardof/internal/kvstore"
 	"heardof/internal/lastvoting"
+	"heardof/internal/live"
 	"heardof/internal/livekv"
 	"heardof/internal/rsm"
-	"heardof/internal/shard"
 )
 
 // E12 configuration: both arms use LastVoting over n=3 replicas × 2
 // groups, ~400 committed commands, fault-free and 10%-loss environments.
 const (
-	e12N         = 3
-	e12Groups    = 2
-	e12Ops       = 400
-	e12Clients   = 8
-	e12MaxRounds = 600
-	e12Loss      = 0.10
+	e12N        = 3
+	e12Groups   = 2
+	e12Ops      = 400
+	e12Clients  = 8
+	e12MaxTicks = 20000
+	e12Loss     = 0.10
 )
 
 // E12Live builds the comparison table: one row per (mode, environment).
@@ -49,7 +48,7 @@ func (r *Runner) E12Live(ctx context.Context) *Table {
 			e12N, e12Groups, e12Ops),
 		Header: []string{"mode", "env", "cmds", "slots", "slots/cmd", "throughput", "wall", "safety"},
 		Notes: []string{
-			"simulated rows are deterministic in the seed; live rows measure real time on this host and vary run to run",
+			"both arms run the same replica code (live.ReplicaCore); simulated rows are deterministic in the seed, live rows measure real time on this host and vary run to run",
 			"live arm: in-process channel transport, 1ms round timeout, per-node loss injection at the transport layer",
 		},
 	}
@@ -68,40 +67,31 @@ func (r *Runner) E12Live(ctx context.Context) *Table {
 	return t
 }
 
-// e12Simulated runs the simulator arm through the sharded service layer.
+// e12Simulated runs the simulator arm: the same replica core as the
+// live arm, stepped by rsm's virtual-round driver.
 func e12Simulated(t *Table, env string, loss float64, seed uint64) error {
-	providers := func(s int) func(slot int) core.HOProvider {
+	cfg := live.CoreConfig[kvstore.Command]{N: e12N, Algorithm: lastvoting.Algorithm{}, Msg: lastvoting.WireCodec{}}
+	envOf := func(g int) core.HOProvider {
 		if loss == 0 {
-			return adversary.SlotFull()
+			return serviceEnv("good", 0, 0)
 		}
-		return adversary.SlotLoss(loss, seed+uint64(s)*1000003)
-	}
-	cluster, err := kvstore.NewShardedCluster(shard.Config{Shards: e12Groups}, e12N,
-		lastvoting.Algorithm{}, providers, e12MaxRounds,
-		rsm.Tuning{BatchSize: 8, Pipeline: 4})
-	if err != nil {
-		return err
+		return serviceEnv("loss", loss, seed+uint64(g)*1000003)
 	}
 	//holint:allow nodeterminism E12 measures live host wall time; it is excluded from IDs() and the determinism byte-cmp
 	start := time.Now()
-	res, err := shard.RunWorkload(cluster.Sharded(), rsm.WorkloadConfig{
+	res, err := runService(e12Groups, cfg, envOf, rsm.WorkloadConfig{
 		Clients: e12Clients, Rate: 0.7, WriteRatio: 0.6, Keys: 32,
-		Ops: e12Ops, MaxSlots: 40 * e12Ops, Seed: seed,
-	}, kvstore.WorkloadCommand, kvstore.WorkloadRouteKey)
+		Ops: e12Ops, MaxTicks: e12MaxTicks, Seed: seed,
+	})
 	if err != nil {
 		return err
 	}
-	safety := "converged"
-	if !cluster.Converged() {
-		safety = "DIVERGED"
-	}
-	agg := res.Aggregate
-	t.AddRow("simulated", env, agg.Completed, agg.Slots,
-		fmt.Sprintf("%.3f", agg.SlotsPerCmd),
-		fmt.Sprintf("%.2f cmds/round", agg.CmdsPerRound),
+	t.AddRow("simulated", env, res.Completed, res.Slots,
+		fmt.Sprintf("%.3f", res.SlotsPerCmd),
+		fmt.Sprintf("%.2f cmds/round", res.CmdsPerTick),
 		//holint:allow nodeterminism E12 measures live host wall time; it is excluded from IDs() and the determinism byte-cmp
-		fmt.Sprintf("%d rounds (%.0fms host)", agg.WallRounds, float64(time.Since(start))/float64(time.Millisecond)),
-		safety)
+		fmt.Sprintf("%d rounds (%.0fms host)", res.Ticks, float64(time.Since(start))/float64(time.Millisecond)),
+		"converged, 0 divergent")
 	return nil
 }
 

@@ -1,25 +1,25 @@
-// Wire encoding of kvstore command batches for dissemination: a uvarint
-// entry count, then per entry the session identity, the op tag, and the
+// Wire encoding of command batches for dissemination — shared by the
+// simulated cluster and the live one (internal/livekv): a uvarint entry
+// count, then per entry the session identity, the op tag, and the
 // length-prefixed key/value strings.
 
-package livekv
+package kvstore
 
 import (
 	"encoding/binary"
 	"fmt"
 
-	"heardof/internal/kvstore"
 	"heardof/internal/live"
 )
 
 // maxString bounds one decoded key or value.
 const maxString = 1 << 16
 
-// cmdCodec implements live.BatchCodec for kvstore commands.
-type cmdCodec struct{}
+// Codec implements live.BatchCodec for commands.
+type Codec struct{}
 
 // AppendEntries implements live.BatchCodec.
-func (cmdCodec) AppendEntries(dst []byte, entries []live.Entry[kvstore.Command]) []byte {
+func (Codec) AppendEntries(dst []byte, entries []live.Entry[Command]) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
 		dst = binary.AppendUvarint(dst, e.Client)
@@ -34,11 +34,11 @@ func (cmdCodec) AppendEntries(dst []byte, entries []live.Entry[kvstore.Command])
 }
 
 // DecodeEntries implements live.BatchCodec.
-func (cmdCodec) DecodeEntries(src []byte) ([]live.Entry[kvstore.Command], error) {
+func (Codec) DecodeEntries(src []byte) ([]live.Entry[Command], error) {
 	str := func() (string, error) {
 		l, n := binary.Uvarint(src)
 		if n <= 0 || l > maxString || uint64(len(src)-n) < l {
-			return "", fmt.Errorf("livekv: truncated string")
+			return "", fmt.Errorf("kvstore: truncated string")
 		}
 		s := string(src[n : n+int(l)])
 		src = src[n+int(l):]
@@ -46,27 +46,27 @@ func (cmdCodec) DecodeEntries(src []byte) ([]live.Entry[kvstore.Command], error)
 	}
 	count, n := binary.Uvarint(src)
 	if n <= 0 || count > 1<<16 {
-		return nil, fmt.Errorf("livekv: bad batch entry count")
+		return nil, fmt.Errorf("kvstore: bad batch entry count")
 	}
 	src = src[n:]
-	entries := make([]live.Entry[kvstore.Command], 0, count)
+	entries := make([]live.Entry[Command], 0, count)
 	for i := uint64(0); i < count; i++ {
-		var e live.Entry[kvstore.Command]
+		var e live.Entry[Command]
 		var n int
 		if e.Client, n = binary.Uvarint(src); n <= 0 {
-			return nil, fmt.Errorf("livekv: truncated client id")
+			return nil, fmt.Errorf("kvstore: truncated client id")
 		}
 		src = src[n:]
 		if e.Seq, n = binary.Uvarint(src); n <= 0 || e.Seq == 0 {
-			return nil, fmt.Errorf("livekv: bad sequence number")
+			return nil, fmt.Errorf("kvstore: bad sequence number")
 		}
 		src = src[n:]
 		if len(src) < 1 {
-			return nil, fmt.Errorf("livekv: truncated op")
+			return nil, fmt.Errorf("kvstore: truncated op")
 		}
-		op := kvstore.Op(src[0])
-		if op < kvstore.OpPut || op > kvstore.OpGet {
-			return nil, fmt.Errorf("livekv: unknown op %d", op)
+		op := Op(src[0])
+		if op < OpPut || op > OpGet {
+			return nil, fmt.Errorf("kvstore: unknown op %d", op)
 		}
 		e.Cmd.Op = op
 		src = src[1:]

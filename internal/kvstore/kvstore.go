@@ -3,14 +3,15 @@
 // introduction motivates (consensus "appears when implementing atomic
 // broadcast, group membership, etc.").
 //
-// The replication mechanics live in internal/rsm: each log slot decides a
-// BATCH of commands (bitmask codec, so consensus cost is amortized over
-// bursts), up to Pipeline slots run in flight per window with in-order
-// apply, and submissions ride client sessions with exactly-once dedup.
-// This package supplies the KV state machine and the store-shaped API;
-// all replicas converge to the same state no matter which transmission
-// faults the environment inflicts — provided each slot's instance
-// eventually meets its liveness predicate.
+// The package holds what the simulated and the live store share: the
+// deterministic state machine, the batch codec (Codec), and key routing
+// across replication groups (GroupOf). Cluster is the simulated store:
+// Groups independent groups of n replicas, each run by internal/rsm's
+// virtual-round driver over live.ReplicaCore — the replica code
+// internal/livekv deploys — under its own HO environment. All replicas
+// of a group converge to the same state whatever transmission faults the
+// environment inflicts, provided its rounds eventually meet the
+// algorithm's liveness predicate.
 package kvstore
 
 import (
@@ -21,6 +22,7 @@ import (
 	"strings"
 
 	"heardof/internal/core"
+	"heardof/internal/live"
 	"heardof/internal/rsm"
 )
 
@@ -186,109 +188,145 @@ func (sm *StateMachine) Fingerprint() string {
 	return b.String()
 }
 
-// Replica is one member of the replicated store.
-type Replica struct {
-	ID core.ProcessID
-	SM *StateMachine
+// GroupOf routes a key to one of groups replication groups: an FNV-1a
+// hash of the key, mixed by the splitmix64 finalizer so adjacent keys
+// spread instead of striping, reduced mod groups. It is a pure function,
+// so every node, simulated or live, agrees on each key's group.
+func GroupOf(key string, groups int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	z := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		z ^= uint64(key[i])
+		z *= prime64
+	}
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int(z % uint64(groups))
 }
 
-// Cluster replicates a KV store across n replicas through the shared
-// rsm engine (batched slots, optional pipelining, client sessions).
+// Cluster is the simulated store: Groups independent replication groups
+// of n replicas, keys partitioned across them by GroupOf, every group
+// run by rsm's virtual-round driver under its own HO environment. The
+// groups tick in lockstep. Commands touch one key and so one group,
+// which is what makes per-group logs sufficient.
 type Cluster struct {
-	n        int
-	engine   *rsm.Engine[Command]
-	replicas []*Replica
+	groups []*rsm.Group[Command]
+	sms    [][]*StateMachine // [group][replica]
 }
 
-// ErrSlotUndecided is returned when replication cannot complete within
-// its budgets — a slot's consensus instance never decided, or Drain ran
-// out of slots with commands still pending. It is rsm's sentinel, so
-// errors.Is works across the whole service stack.
-var ErrSlotUndecided = rsm.ErrSlotUndecided
-
-// NewCluster creates a cluster of n replicas deciding slots with alg under
-// the per-slot HO provider. maxRounds bounds each slot's instance. Slots
-// batch up to rsm.MaxBatch commands and run unpipelined; use
-// NewClusterTuned for the service-layer knobs.
-func NewCluster(n int, alg core.Algorithm, provider func(slot int) core.HOProvider, maxRounds core.Round) (*Cluster, error) {
-	return NewClusterTuned(n, alg, provider, maxRounds, rsm.Tuning{})
-}
-
-// NewClusterTuned is NewCluster with explicit batch size, pipeline depth
-// and sweep parallelism.
-func NewClusterTuned(n int, alg core.Algorithm, provider func(slot int) core.HOProvider,
-	maxRounds core.Round, tune rsm.Tuning) (*Cluster, error) {
-	c := &Cluster{n: n}
-	engine, err := rsm.New(rsm.Config{
-		N: n, Algorithm: alg, Provider: provider, MaxRounds: maxRounds,
-		BatchSize: tune.BatchSize, Pipeline: tune.Pipeline, Parallel: tune.Parallel,
-	}, func(replica int, cmd Command) {
-		c.replicas[replica].SM.Apply(cmd)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: %w", err)
+// NewCluster builds groups groups of cfg.N replicas. cfg is the replica
+// protocol configuration (N, Algorithm, Msg, MaxBatch; Self and Batch
+// are filled in); env(g) is group g's HO environment — heterogeneous
+// environments are just different providers per index.
+func NewCluster(groups int, cfg live.CoreConfig[Command], env func(group int) core.HOProvider) (*Cluster, error) {
+	if groups < 1 {
+		return nil, fmt.Errorf("kvstore: %d groups, need ≥ 1", groups)
 	}
-	c.replicas = make([]*Replica, n)
-	for i := range c.replicas {
-		c.replicas[i] = &Replica{ID: core.ProcessID(i), SM: NewStateMachine()}
+	if env == nil {
+		return nil, errors.New("kvstore: nil environment")
 	}
-	c.engine = engine
+	cfg.Batch = Codec{}
+	c := &Cluster{groups: make([]*rsm.Group[Command], groups), sms: make([][]*StateMachine, groups)}
+	for g := range c.groups {
+		var sms []*StateMachine
+		grp, err := rsm.NewGroup(cfg, env(g), func(replica int, e live.Entry[Command]) {
+			sms[replica].Apply(e.Cmd)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: group %d: %w", g, err)
+		}
+		sms = make([]*StateMachine, cfg.N)
+		for i := range sms {
+			sms[i] = NewStateMachine()
+		}
+		c.groups[g], c.sms[g] = grp, sms
+	}
 	return c, nil
 }
 
-// Replica returns replica i.
-func (c *Cluster) Replica(i int) *Replica { return c.replicas[i] }
+// Groups returns the replication groups (for rsm.RunWorkload).
+func (c *Cluster) Groups() []*rsm.Group[Command] { return c.groups }
 
-// Engine exposes the underlying replication engine (stats, latencies,
-// session-level submission).
-func (c *Cluster) Engine() *rsm.Engine[Command] { return c.engine }
+// State returns replica i of group g's state machine.
+func (c *Cluster) State(g, i int) *StateMachine { return c.sms[g][i] }
 
-// Slots returns the number of decided slots.
-func (c *Cluster) Slots() int { return c.engine.Stats().Slots }
-
-// Submit accepts a command at the contact replica and enters it into the
-// shared replicated log, as Paxos-style replicated state machines forward
-// client commands. The contact must be a valid replica id; each contact
-// runs its own client session, so every Submit is a fresh command (use
-// Engine().Submit to model retries of one command).
+// Submit accepts a command at a contact replica of the group owning its
+// key, under the contact's own client session (client id = contact), so
+// every Submit is a fresh command.
 func (c *Cluster) Submit(contact int, cmd Command) error {
-	if contact < 0 || contact >= c.n {
-		return fmt.Errorf("kvstore: contact replica %d out of range [0, %d)", contact, c.n)
+	g := c.groups[GroupOf(cmd.Key, len(c.groups))]
+	_, err := g.SubmitNext(contact, uint64(contact), cmd)
+	return err
+}
+
+// PendingTotal counts submitted-but-unapplied commands at their
+// contacts, over all groups.
+func (c *Cluster) PendingTotal() int {
+	total := 0
+	for _, g := range c.groups {
+		for p := 0; p < g.N(); p++ {
+			total += g.Core(p).Counters().Pending
+		}
 	}
-	c.engine.SubmitNext(rsm.ClientID(contact), cmd)
-	return nil
+	return total
 }
 
-// PendingTotal counts queued-but-unreplicated commands.
-func (c *Cluster) PendingTotal() int { return c.engine.Pending() }
-
-// DecideSlot decides the next window of slots (a single slot unless the
-// cluster is pipelined) and applies the chosen commands everywhere, in
-// order. It returns the commands applied by this call — empty when the
-// window decided only a no-op batch. On a window failure the returned
-// slice still holds the decided prefix that WAS applied before the
-// failing slot (alongside the error), mirroring Drain's partial count.
-func (c *Cluster) DecideSlot() ([]Command, error) {
-	before := len(c.replicas[0].SM.log)
-	_, err := c.engine.DecideWindow()
-	applied := c.replicas[0].SM.log[before:]
-	out := make([]Command, len(applied))
-	copy(out, applied)
-	return out, err
+// Stats sums the groups' counters (Ticks is the shared clock).
+func (c *Cluster) Stats() rsm.Stats {
+	var st rsm.Stats
+	for _, g := range c.groups {
+		gs := g.Stats()
+		st.Ticks = gs.Ticks
+		st.Slots += gs.Slots
+		st.Committed += gs.Committed
+		st.Rounds += gs.Rounds
+		st.Divergent += gs.Divergent
+	}
+	return st
 }
 
-// Drain decides slots until no commands are pending or the slot budget is
-// exhausted, returning the number of commands applied. Every undecided
-// path satisfies errors.Is(err, ErrSlotUndecided).
-func (c *Cluster) Drain(maxSlots int) (int, error) {
-	return c.engine.Drain(maxSlots)
+// Drain ticks every group until all are settled — every command applied
+// everywhere — or maxTicks pass (rsm.ErrTickBudget). It returns the
+// number of commands applied meanwhile.
+func (c *Cluster) Drain(maxTicks int) (int, error) {
+	before := c.Stats().Committed
+	err := rsm.Settle(c.groups, maxTicks)
+	return c.Stats().Committed - before, err
+}
+
+// Get reads a key at replica 0 of its group — a local read; replicate an
+// OpGet for a read through the log.
+func (c *Cluster) Get(key string) (string, bool) {
+	return c.sms[GroupOf(key, len(c.groups))][0].Get(key)
+}
+
+// Converged reports whether every group's replicas hold identical
+// decision logs and state, with no divergent decision observed.
+func (c *Cluster) Converged() bool {
+	for g, grp := range c.groups {
+		if grp.Stats().Divergent != 0 {
+			return false
+		}
+		n0, h0 := grp.Core(0).LogFingerprint()
+		want := c.sms[g][0].Fingerprint()
+		for i, sm := range c.sms[g] {
+			if n, h := grp.Core(i).LogFingerprint(); n != n0 || h != h0 || sm.Fingerprint() != want {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // WorkloadCommand maps a generated workload operation (rsm.RunWorkload)
 // to a KV command: reads become linearizable OpGets through the log,
-// writes become puts with an occasional delete. Shared by the E10/E11
-// experiments and cmd/hoload so their workloads stay key-for-key
-// comparable.
+// writes become puts with an occasional delete. Shared by E10–E12 and
+// cmd/hoload so their workloads stay key-for-key comparable.
 func WorkloadCommand(op rsm.Op) Command {
 	key := workloadKey(op.Key)
 	switch {
@@ -301,18 +339,12 @@ func WorkloadCommand(op rsm.Op) Command {
 	}
 }
 
-// workloadKey names workload key index k; WorkloadCommand and
-// WorkloadRouteKey must agree on it so a generated op and the command
-// built from it route to the same shard.
-func workloadKey(k int) string { return fmt.Sprintf("k%03d", k) }
-
-// Converged reports whether all replicas have identical state.
-func (c *Cluster) Converged() bool {
-	want := c.replicas[0].SM.Fingerprint()
-	for _, r := range c.replicas[1:] {
-		if r.SM.Fingerprint() != want {
-			return false
-		}
-	}
-	return true
+// WorkloadRoute is rsm.RunWorkload's router for WorkloadCommand over
+// groups groups: it routes an operation by its command's key, so
+// workload-driven and Submit-driven traffic agree on every key's group.
+func WorkloadRoute(groups int) func(rsm.Op) int {
+	return func(op rsm.Op) int { return GroupOf(workloadKey(op.Key), groups) }
 }
+
+// workloadKey names workload key index k.
+func workloadKey(k int) string { return fmt.Sprintf("k%03d", k) }

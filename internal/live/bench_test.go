@@ -15,7 +15,7 @@ import (
 // The three variants bound the durability tax: volatile (PR-5
 // behavior), buffered writes (NoSync), and full fsync-per-dispatch.
 func benchSlot(b *testing.B, persist Persister) {
-	net, err := NewChanNetwork(1, 0)
+	net, err := NewChanNetwork(1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,18 +23,19 @@ type ChanNetwork struct {
 	closed []bool
 }
 
-// NewChanNetwork creates a network of n processes with per-process inbox
-// buffers of the given size (0 means 1024).
-func NewChanNetwork(n, buffer int) (*ChanNetwork, error) {
+// inboxBuffer sizes each process's inbox channel: room for bursts of
+// round, batch and sync traffic from every peer between two reads of a
+// busy receiver. Overflow is loss, which the round structure absorbs.
+const inboxBuffer = 1024
+
+// NewChanNetwork creates a network of n processes.
+func NewChanNetwork(n int) (*ChanNetwork, error) {
 	if n < 1 || n > core.MaxProcesses {
 		return nil, fmt.Errorf("live: network size %d out of range [1, %d]", n, core.MaxProcesses)
 	}
-	if buffer < 1 {
-		buffer = 1024
-	}
 	cn := &ChanNetwork{n: n, inboxes: make([]chan Envelope, n), closed: make([]bool, n)}
 	for i := range cn.inboxes {
-		cn.inboxes[i] = make(chan Envelope, buffer)
+		cn.inboxes[i] = make(chan Envelope, inboxBuffer)
 	}
 	return cn, nil
 }

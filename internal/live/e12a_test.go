@@ -35,7 +35,7 @@ func TestE12ADiskVsEmptyRejoin(t *testing.T) {
 	// run builds the common scenario and hands the rejoin to the arm.
 	run := func(t *testing.T, rejoin func(t *testing.T, dir string, net *ChanNetwork, targetLen uint64, targetHash uint64)) {
 		dir := t.TempDir()
-		net, err := NewChanNetwork(n, 0)
+		net, err := NewChanNetwork(n)
 		if err != nil {
 			t.Fatal(err)
 		}

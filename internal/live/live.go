@@ -25,16 +25,17 @@
 //     deployments). WithFaults wraps any transport with message loss,
 //     delay, and process pause injection — faults are a property of the
 //     environment, never of the algorithm.
-//   - Round driver (runSlot): paces one core.Instance through rounds.
-//     Each round broadcasts S_p^r, collects round-r messages until all n
-//     arrived, any peer is observed already past r (the jump rule that
-//     keeps processes round-aligned — see node.go), or the timeout
-//     fires, then applies T_p^r. Messages for future rounds are buffered;
-//     rounds are delivered to the instance in strictly increasing order,
-//     as the core.Instance contract requires.
+//   - Round driver (slotRun, node.go): paces one core.Instance through
+//     rounds. Each round broadcasts S_p^r, collects round-r messages
+//     until all n arrived, any peer is observed already past r (the jump
+//     rule that keeps processes round-aligned — see node.go), or the
+//     timeout fires, then applies T_p^r. Messages for future rounds are
+//     buffered; rounds are delivered to the instance in strictly
+//     increasing order, as the core.Instance contract requires.
 //   - Replica: a replicated-state-machine service over a sequence of
-//     consensus slots — the live counterpart of internal/rsm. Commands
-//     are disseminated as identified batches (the decided core.Value is a
+//     consensus slots, a goroutine shell around ReplicaCore — the same
+//     core internal/rsm drives in virtual rounds. Commands are
+//     disseminated as identified batches (the decided core.Value is a
 //     batch id, unique by construction: proposer ⊕ counter), client
 //     sessions carry (client, seq) identities with high-water-mark dedup
 //     so every command applies exactly once, and decided slots propagate
@@ -348,13 +349,14 @@ func NewMux(t Transport) *Mux {
 	return m
 }
 
+// linkBuffer sizes each Link's inbound channel: the route goroutine
+// must not stall the whole transport behind one busy group's replica.
+const linkBuffer = 256
+
 // Link registers a group endpoint. The returned Link implements
-// Transport scoped to that group. buffer sizes its inbound channel.
-func (m *Mux) Link(group uint32, buffer int) *Link {
-	if buffer < 1 {
-		buffer = 256
-	}
-	ch := make(chan Envelope, buffer)
+// Transport scoped to that group.
+func (m *Mux) Link(group uint32) *Link {
+	ch := make(chan Envelope, linkBuffer)
 	m.mu.Lock()
 	m.groups[group] = ch
 	m.mu.Unlock()

@@ -38,7 +38,7 @@ func (l *applyLog) restoreState(b []byte) {
 func TestReplicaRestartFromDisk(t *testing.T) {
 	const n = 3
 	dir := t.TempDir()
-	net, err := NewChanNetwork(n, 0)
+	net, err := NewChanNetwork(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestReplicaRestartFromDisk(t *testing.T) {
 func TestRestartFromDiskAfterGC(t *testing.T) {
 	const n = 3
 	dir := t.TempDir()
-	net, err := NewChanNetwork(n, 0)
+	net, err := NewChanNetwork(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
-// Replica: the live replicated-state-machine service — the counterpart
-// of internal/rsm's Engine, rebuilt for a world without a shared memory.
-// In the simulator the engine owns every process and a common pending
-// table, so a slot can decide a bitmask over commands everybody already
-// sees. Live, each replica knows only its own submissions, so the layer
-// splits replication into the two classic halves:
+// Replica: the live replicated-state-machine service. Each replica knows
+// only its own submissions, so the layer splits replication into the two
+// classic halves:
 //
 //   - Dissemination: a proposer packs its pending commands into a BATCH,
 //     assigns it an id that is unique by construction ((proposer+1) in
@@ -18,8 +15,7 @@
 //
 // Commands carry (client, seq) session identities; apply keeps a
 // high-water mark per client, so overlapping batches (a retried command
-// landing in two proposals) still apply exactly once — the same
-// exactly-once contract rsm's sessions give, enforced at the other end.
+// landing in two proposals) still apply exactly once.
 //
 // Decided slots spread through a sync protocol that doubles as the
 // decide-retransmission and the crash-rejoin path: any round message for

@@ -77,7 +77,7 @@ func (l *applyLog) snapshot() []string {
 // environment per process.
 func newTestGroup(t *testing.T, n int, seed uint64) (reps []*Replica[string], logs []*applyLog, faults []*Faults, stop func()) {
 	t.Helper()
-	net, err := NewChanNetwork(n, 0)
+	net, err := NewChanNetwork(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //
 //	state × event → state′ × outbound envelopes × applied entries
 //
-// with no goroutines, channels, clocks, or I/O. Two consumers drive it:
+// with no goroutines, channels, clocks, or I/O. Three consumers drive it:
 //
 //   - Replica (replica.go), the production shell: one goroutine feeds
 //     transport deliveries, round-timeout fires, and heartbeat ticks in
@@ -15,8 +15,11 @@
 //   - The exhaustive model checker (internal/modelcheck), which clones
 //     cores, enumerates every interleaving of the same events over a
 //     message soup, and checks safety invariants on each reachable
-//     state. Because both run THIS code, what the checker verifies is
+//     state. Because it runs THIS code, what the checker verifies is
 //     the deployed protocol, not a hand-written model of it.
+//   - The simulator's virtual-round driver (internal/rsm), which steps n
+//     cores in lockstep ticks under an HO environment, so the simulated
+//     KV service runs the deployed replica code too.
 //
 // Within one Step the core self-drives to a local fixpoint: any event
 // may unblock applying decided slots, which may free the core to start

@@ -44,7 +44,7 @@ func TestEnvelopeDecodeRejectsMalformed(t *testing.T) {
 }
 
 func TestChanNetworkDelivers(t *testing.T) {
-	net, err := NewChanNetwork(3, 8)
+	net, err := NewChanNetwork(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestChanNetworkDelivers(t *testing.T) {
 }
 
 func TestFaultsPauseDropsBothDirections(t *testing.T) {
-	net, err := NewChanNetwork(2, 8)
+	net, err := NewChanNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFaultsPauseDropsBothDirections(t *testing.T) {
 }
 
 func TestFaultsLossDropsRoughlyAtRate(t *testing.T) {
-	net, err := NewChanNetwork(2, 4096)
+	net, err := NewChanNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func NewCluster(cfg Config, faultSeed uint64) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := live.NewChanNetwork(cfg.Replicas, 0)
+	net, err := live.NewChanNetwork(cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}

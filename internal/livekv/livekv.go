@@ -1,8 +1,8 @@
 // Package livekv assembles the live runtime (internal/live) into the
 // replicated key-value service the simulator layers already provide in
 // simulated time: the kvstore state machine, sharded across Groups
-// independent LastVoting replication groups (keys route exactly like
-// internal/shard — same FNV string hash, same splitmix64 router), served
+// independent LastVoting replication groups (keys route by
+// kvstore.GroupOf, exactly like the simulated kvstore.Cluster), served
 // by real server processes over channel or TCP transports.
 //
 // One Node is one server process's stack: a replica of EVERY group bound
@@ -13,10 +13,10 @@
 // cmd/hoload verify read-your-writes linearizability end-to-end over
 // HTTP.
 //
-// The package is the live counterpart of internal/kvstore's Cluster +
-// internal/shard's Sharded: the same algorithm (LastVoting by default),
-// the same state machine, the same routing — only the implementation
-// layer under the rounds changed. DESIGN.md §9 tabulates the mapping.
+// The package is the live counterpart of internal/kvstore's Cluster: the
+// same replica core, state machine, batch codec, and routing — only the
+// layer under the rounds changed (real clocks and transports instead of
+// internal/rsm's virtual rounds). DESIGN.md §9 tabulates the mapping.
 package livekv
 
 import (
@@ -31,7 +31,6 @@ import (
 	"heardof/internal/kvstore"
 	"heardof/internal/lastvoting"
 	"heardof/internal/live"
-	"heardof/internal/shard"
 	"heardof/internal/wal"
 )
 
@@ -49,8 +48,6 @@ type Config struct {
 	// together.
 	Algorithm core.Algorithm
 	Msg       live.Codec
-	// Router routes keys to groups; nil means shard.HashRouter{}.
-	Router shard.Router
 	// RoundTimeout, MaxBatch, SyncEvery tune the live replicas; zero
 	// values take the live package defaults.
 	RoundTimeout time.Duration
@@ -87,9 +84,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Msg == nil {
 		return cfg, errors.New("livekv: Algorithm set without its wire codec")
-	}
-	if cfg.Router == nil {
-		cfg.Router = shard.HashRouter{}
 	}
 	if cfg.OpTimeout <= 0 {
 		cfg.OpTimeout = 10 * time.Second
@@ -148,8 +142,8 @@ func NewNode(cfg Config, self core.ProcessID, tr live.Transport) (*Node, error) 
 			N:         cfg.Replicas,
 			Algorithm: cfg.Algorithm,
 			Msg:       cfg.Msg,
-			Batch:     cmdCodec{},
-			Transport: nd.mux.Link(uint32(g), 0),
+			Batch:     kvstore.Codec{},
+			Transport: nd.mux.Link(uint32(g)),
 			Apply: func(_ uint64, e live.Entry[kvstore.Command]) any {
 				gr.mu.Lock()
 				defer gr.mu.Unlock()
@@ -248,11 +242,11 @@ func (nd *Node) Close() error {
 	return err
 }
 
-// GroupFor returns the group owning a key — identical routing to
-// internal/shard, so a simulated and a live deployment with the same
-// Groups place every key identically.
+// GroupFor returns the group owning a key — kvstore.GroupOf, so a
+// simulated and a live deployment with the same Groups place every key
+// identically.
 func (nd *Node) GroupFor(key string) int {
-	return nd.cfg.Router.Shard(shard.StringKey(key), nd.cfg.Groups)
+	return kvstore.GroupOf(key, nd.cfg.Groups)
 }
 
 // do replicates one command through its owning group and waits for the

@@ -167,7 +167,7 @@ func TestClusterPauseRejoin(t *testing.T) {
 }
 
 func TestNodeRejectsBadConfig(t *testing.T) {
-	net, err := live.NewChanNetwork(3, 0)
+	net, err := live.NewChanNetwork(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package rsm
+package rsm_test
 
 import (
 	"fmt"
@@ -6,93 +6,100 @@ import (
 
 	"heardof/internal/adversary"
 	"heardof/internal/core"
-	"heardof/internal/otr"
-	"heardof/internal/xrand"
+	"heardof/internal/kvstore"
+	"heardof/internal/rsm"
 )
 
-// The BenchmarkRSM_* suite is the service-layer perf trajectory:
-// scripts/bench.sh parses the cmds/sec and slots/cmd metrics into
-// BENCH_kv.json (schema bench_kv/v1). One iteration is one complete
-// drain or workload, so cmds/sec reads as end-to-end replicated-command
-// throughput of the simulated service.
+// The BenchmarkRSM_* suite is the simulated service's perf trajectory:
+// scripts/bench.sh parses cmds/sec, slots/cmd, shards and cmds/round into
+// BENCH_kv.json. One iteration is one complete drain or workload over
+// fresh groups with a fixed seed, so cmds/sec reads as host throughput
+// of the virtual-round driver and allocs/op stays comparable across
+// runs.
 
-func benchEngine(b *testing.B, provider func(int) core.HOProvider, tune Tuning) *Engine[string] {
-	b.Helper()
-	e, err := New(Config{
-		N: 5, Algorithm: otr.Algorithm{}, Provider: provider, MaxRounds: 500,
-		BatchSize: tune.BatchSize, Pipeline: tune.Pipeline, Parallel: tune.Parallel,
-	}, func(int, string) {})
-	if err != nil {
+// drain submits cmds commands round-robin over the contacts of a fresh
+// 5-replica group and settles it.
+func drain(b *testing.B, env func() core.HOProvider, cmds int) rsm.Stats {
+	g, _ := newGroup(b, coreConfig(5, 64), env())
+	for i := 0; i < cmds; i++ {
+		if _, err := g.SubmitNext(i%5, uint64(i%5), put("v")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := rsm.Settle([]*rsm.Group[cmd]{g}, 100*cmds); err != nil {
 		b.Fatal(err)
 	}
-	return e
+	return g.Stats()
 }
 
-func reportServiceMetrics(b *testing.B, cmds int, st Stats) {
-	b.Helper()
-	b.ReportMetric(float64(cmds*b.N)/b.Elapsed().Seconds(), "cmds/sec")
-	if st.Committed > 0 {
-		b.ReportMetric(float64(st.Slots)/float64(st.Committed), "slots/cmd")
-	}
-}
-
-// BenchmarkRSM_DrainBatched drains a 200-command burst through 63-wide
-// batches in a fault-free environment (the pure batch-codec fast path).
-func BenchmarkRSM_DrainBatched(b *testing.B) {
+func benchDrain(b *testing.B, env func() core.HOProvider) {
 	const cmds = 200
-	var st Stats
+	var st rsm.Stats
 	for i := 0; i < b.N; i++ {
-		e := benchEngine(b, func(int) core.HOProvider { return adversary.Full{} }, Tuning{})
-		for j := 0; j < cmds; j++ {
-			e.Submit(ClientID(j%8), uint64(j/8+1), "put k=v")
-		}
-		if _, err := e.Drain(cmds); err != nil {
-			b.Fatal(err)
-		}
-		st = e.Stats()
+		st = drain(b, env, cmds)
 	}
-	reportServiceMetrics(b, cmds, st)
+	b.ReportMetric(float64(cmds*b.N)/b.Elapsed().Seconds(), "cmds/sec")
+	b.ReportMetric(float64(st.Slots)/float64(st.Committed), "slots/cmd")
 }
 
-// BenchmarkRSM_DrainPipelinedLossy drains 120 commands through 8-wide
-// batches, 4 slots in flight, under 20% transmission loss.
-func BenchmarkRSM_DrainPipelinedLossy(b *testing.B) {
-	const cmds = 120
-	var st Stats
-	for i := 0; i < b.N; i++ {
-		rng := xrand.New(uint64(i) + 1)
-		e := benchEngine(b, func(int) core.HOProvider {
-			return &adversary.TransmissionLoss{Rate: 0.2, RNG: rng.Fork()}
-		}, Tuning{BatchSize: 8, Pipeline: 4})
-		for j := 0; j < cmds; j++ {
-			e.Submit(ClientID(j%8), uint64(j/8+1), "put k=v")
-		}
-		if _, err := e.Drain(cmds); err != nil {
-			b.Fatal(err)
-		}
-		st = e.Stats()
-	}
-	reportServiceMetrics(b, cmds, st)
+// BenchmarkRSM_DrainBatched drains a 200-command burst over five
+// contacts through 64-wide batches in good rounds.
+func BenchmarkRSM_DrainBatched(b *testing.B) {
+	benchDrain(b, func() core.HOProvider { return adversary.Full{} })
 }
 
-// BenchmarkRSM_ClosedLoopWorkload runs the E10-shaped closed loop: 16
-// zipfian clients completing 150 commands, fault-free.
+// BenchmarkRSM_DrainLossy is DrainBatched under 20% transmission loss.
+func BenchmarkRSM_DrainLossy(b *testing.B) {
+	benchDrain(b, func() core.HOProvider { return lossEnv(0.2, 7) })
+}
+
+// BenchmarkRSM_ClosedLoopWorkload runs the E10 closed loop: 16 zipfian
+// clients completing 150 commands at n=5 under 20% loss.
 func BenchmarkRSM_ClosedLoopWorkload(b *testing.B) {
-	const cmds = 150
-	var st Stats
+	const ops = 150
+	var res rsm.WorkloadResult
 	for i := 0; i < b.N; i++ {
-		e := benchEngine(b, func(int) core.HOProvider { return adversary.Full{} },
-			Tuning{BatchSize: 8, Pipeline: 4})
-		_, err := RunWorkload(e, WorkloadConfig{
+		groups, _ := workloadGroups(b, lossEnv(0.2, 7))
+		var err error
+		res, err = rsm.RunWorkload(groups, rsm.WorkloadConfig{
 			Clients: 16, Rate: 0.7, WriteRatio: 0.75, Keys: 48,
-			Dist: Zipfian, ZipfS: 0.99, Ops: cmds, MaxSlots: 2000, Seed: uint64(i) + 1,
-		}, func(op Op) string {
-			return fmt.Sprintf("c%d#%d k%d", op.Client, op.Seq, op.Key)
-		})
+			Dist: rsm.Zipfian, ZipfS: 0.99, Ops: ops, MaxTicks: 5000, Seed: 1,
+		}, kvstore.WorkloadCommand, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		st = e.Stats()
 	}
-	reportServiceMetrics(b, cmds, st)
+	b.ReportMetric(float64(ops*b.N)/b.Elapsed().Seconds(), "cmds/sec")
+	b.ReportMetric(res.SlotsPerCmd, "slots/cmd")
+	b.ReportMetric(res.CmdsPerTick, "cmds/round")
+}
+
+// BenchmarkRSM_ShardedWorkload runs the E11 closed loop: 12 zipfian
+// clients and 120 commands per group, group environments cycling
+// good / 30% loss / crash-recovery.
+func BenchmarkRSM_ShardedWorkload(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			ops := 120 * shards
+			var res rsm.WorkloadResult
+			for i := 0; i < b.N; i++ {
+				envs := make([]core.HOProvider, shards)
+				for g := range envs {
+					envs[g] = []core.HOProvider{adversary.Full{}, lossEnv(0.3, uint64(g)), adversary.RotatingCrash{Epoch: 20}}[g%3]
+				}
+				groups, _ := workloadGroups(b, envs...)
+				var err error
+				res, err = rsm.RunWorkload(groups, rsm.WorkloadConfig{
+					Clients: 12 * shards, Rate: 0.7, WriteRatio: 0.75, Keys: 96,
+					Dist: rsm.Zipfian, ZipfS: 0.99, Ops: ops, MaxTicks: 20000, Seed: 1,
+				}, kvstore.WorkloadCommand, kvstore.WorkloadRoute(shards))
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(shards), "shards")
+			b.ReportMetric(float64(ops*b.N)/b.Elapsed().Seconds(), "cmds/sec")
+			b.ReportMetric(res.CmdsPerTick, "cmds/round")
+		})
+	}
 }

@@ -1,94 +1,90 @@
-package rsm
+package rsm_test
 
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"heardof/internal/adversary"
 	"heardof/internal/core"
+	"heardof/internal/kvstore"
+	"heardof/internal/lastvoting"
+	"heardof/internal/live"
 	"heardof/internal/otr"
+	"heardof/internal/rsm"
 	"heardof/internal/xrand"
 )
 
-func fullProvider(int) core.HOProvider { return adversary.Full{} }
+type cmd = kvstore.Command
 
-// logs collects apply calls per replica so tests can check convergence and
-// exactly-once application.
-type logs struct{ byReplica [][]string }
+// logs records every replica's applied commands so tests can check
+// convergence and exactly-once application.
+type logs [][]string
 
-func newLogs(n int) *logs { return &logs{byReplica: make([][]string, n)} }
-
-func (l *logs) apply(replica int, cmd string) {
-	l.byReplica[replica] = append(l.byReplica[replica], cmd)
+func (l logs) apply(p int, e live.Entry[cmd]) {
+	l[p] = append(l[p], fmt.Sprintf("%d/%d:%s", e.Client, e.Seq, e.Cmd.Value))
 }
 
-// converged reports whether every replica applied the same commands in the
-// same order, and dup reports the first command applied twice anywhere.
-func (l *logs) converged() bool {
-	for _, lg := range l.byReplica[1:] {
-		if !reflect.DeepEqual(lg, l.byReplica[0]) {
+func (l logs) converged() bool {
+	for _, lg := range l[1:] {
+		if fmt.Sprint(lg) != fmt.Sprint(l[0]) {
 			return false
 		}
 	}
 	return true
 }
 
-func (l *logs) firstDuplicate() (string, bool) {
+func (l logs) firstDuplicate() (string, bool) {
 	seen := make(map[string]bool)
-	for _, cmd := range l.byReplica[0] {
-		if seen[cmd] {
-			return cmd, true
+	for _, c := range l[0] {
+		if seen[c] {
+			return c, true
 		}
-		seen[cmd] = true
+		seen[c] = true
 	}
 	return "", false
 }
 
-func newEngine(t *testing.T, cfg Config, l *logs) *Engine[string] {
+func coreConfig(n, maxBatch int) live.CoreConfig[cmd] {
+	return live.CoreConfig[cmd]{N: n, Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{}, Batch: kvstore.Codec{}, MaxBatch: maxBatch}
+}
+
+func newGroup(t testing.TB, cfg live.CoreConfig[cmd], env core.HOProvider) (*rsm.Group[cmd], logs) {
 	t.Helper()
-	if cfg.Algorithm == nil {
-		cfg.Algorithm = otr.Algorithm{}
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 300
-	}
-	e, err := New(cfg, l.apply)
+	l := make(logs, cfg.N)
+	g, err := rsm.NewGroup(cfg, env, l.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return g, l
 }
 
-func submitN(t *testing.T, e *Engine[string], client ClientID, from, n int) {
+func put(v string) cmd { return cmd{Op: kvstore.OpPut, Key: "k", Value: v} }
+
+func settle(t *testing.T, g *rsm.Group[cmd], budget int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		ok, err := e.Submit(client, uint64(from+i+1), fmt.Sprintf("c%d-%d", client, from+i+1))
-		if err != nil || !ok {
-			t.Fatalf("submit %d: ok=%v err=%v", from+i, ok, err)
-		}
+	if err := rsm.Settle([]*rsm.Group[cmd]{g}, budget); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestBatchAmortization(t *testing.T) {
-	// The acceptance bound of this PR: M commands with batch size B drain
-	// in ≤ ⌈M/B⌉ + 1 slots — versus exactly M slots with the pre-rsm
-	// one-command-per-slot layer.
-	for _, tc := range []struct{ m, b int }{{200, 63}, {100, 10}, {64, 63}, {5, 1}} {
-		l := newLogs(4)
-		e := newEngine(t, Config{N: 4, Provider: fullProvider, BatchSize: tc.b}, l)
-		submitN(t, e, 1, 0, tc.m)
-		n, err := e.Drain(tc.m + 2)
-		if err != nil {
-			t.Fatalf("M=%d B=%d: %v", tc.m, tc.b, err)
+	// M commands queued at one contact drain in ≤ ⌈M/B⌉ + 1 slots: each
+	// slot decides a whole batch, not one command.
+	for _, tc := range []struct{ m, b int }{{200, 64}, {100, 10}, {64, 63}, {5, 1}} {
+		g, l := newGroup(t, coreConfig(4, tc.b), adversary.Full{})
+		for i := 0; i < tc.m; i++ {
+			if _, err := g.SubmitNext(0, 1, put(fmt.Sprint(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if n != tc.m {
-			t.Fatalf("M=%d B=%d: committed %d", tc.m, tc.b, n)
+		settle(t, g, 4*tc.m)
+		st := g.Stats()
+		if st.Committed != tc.m || len(l[0]) != tc.m {
+			t.Fatalf("M=%d B=%d: committed %d", tc.m, tc.b, st.Committed)
 		}
-		bound := (tc.m+tc.b-1)/tc.b + 1
-		if s := e.Stats().Slots; s > bound {
-			t.Errorf("M=%d B=%d: used %d slots, want ≤ ⌈M/B⌉+1 = %d", tc.m, tc.b, s, bound)
+		if bound := (tc.m+tc.b-1)/tc.b + 1; st.Slots > uint64(bound) {
+			t.Errorf("M=%d B=%d: used %d slots, want ≤ ⌈M/B⌉+1 = %d", tc.m, tc.b, st.Slots, bound)
 		}
 		if !l.converged() {
 			t.Errorf("M=%d B=%d: replicas diverged", tc.m, tc.b)
@@ -96,108 +92,103 @@ func TestBatchAmortization(t *testing.T) {
 	}
 }
 
-func TestPipeliningReducesWallRounds(t *testing.T) {
-	// 4 chunks in flight cost max (not sum) of their rounds: wall rounds
-	// stay below total consensus rounds.
-	l := newLogs(4)
-	e := newEngine(t, Config{N: 4, Provider: fullProvider, BatchSize: 8, Pipeline: 4}, l)
-	submitN(t, e, 1, 0, 32)
-	if _, err := e.Drain(10); err != nil {
-		t.Fatal(err)
+func TestSessionDedupExactlyOnce(t *testing.T) {
+	g, l := newGroup(t, coreConfig(3, 0), adversary.Full{})
+	if dup, err := g.Submit(0, 7, 1, put("x")); err != nil || dup {
+		t.Fatalf("first submit: dup=%v err=%v", dup, err)
 	}
-	st := e.Stats()
-	if st.Slots != 4 {
-		t.Fatalf("slots = %d, want 4", st.Slots)
+	// A retry before the command commits joins the pending one.
+	if dup, err := g.Submit(0, 7, 1, put("x")); err != nil || dup {
+		t.Fatalf("pending retry: dup=%v err=%v", dup, err)
 	}
-	if st.WallRounds >= st.TotalRounds {
-		t.Errorf("wall rounds %d not below total rounds %d despite 4-deep pipeline",
-			st.WallRounds, st.TotalRounds)
+	settle(t, g, 20)
+	// A retry after the command committed is a duplicate.
+	if dup, err := g.Submit(0, 7, 1, put("x")); err != nil || !dup {
+		t.Fatalf("post-commit retry: dup=%v err=%v", dup, err)
+	}
+	settle(t, g, 20)
+	for p, lg := range l {
+		if len(lg) != 1 {
+			t.Errorf("replica %d applied the command %d times, want exactly once", p, len(lg))
+		}
+	}
+	if c := g.Core(0); !c.SeqApplied(7, 1) || c.SeqApplied(7, 2) {
+		t.Error("SeqApplied disagrees with the applied sequence")
+	}
+	if _, err := g.Submit(0, 7, 0, put("bad")); err == nil {
+		t.Error("sequence 0 accepted")
+	}
+	if _, err := g.Submit(3, 7, 2, put("bad")); err == nil {
+		t.Error("replica 3 of 3 accepted")
 	}
 }
 
-func TestSessionDedupExactlyOnce(t *testing.T) {
-	l := newLogs(3)
-	e := newEngine(t, Config{N: 3, Provider: fullProvider}, l)
-
-	if ok, err := e.Submit(7, 1, "put x"); err != nil || !ok {
-		t.Fatalf("first submit: ok=%v err=%v", ok, err)
-	}
-	// Retry before the command commits: dropped.
-	if ok, err := e.Submit(7, 1, "put x"); err != nil || ok {
-		t.Fatalf("pending retry accepted: ok=%v err=%v", ok, err)
-	}
-	if _, err := e.Drain(5); err != nil {
-		t.Fatal(err)
-	}
-	// Retry after the command committed: still dropped.
-	if ok, err := e.Submit(7, 1, "put x"); err != nil || ok {
-		t.Fatalf("post-commit retry accepted: ok=%v err=%v", ok, err)
-	}
-	if _, err := e.Drain(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(l.byReplica[0]); got != 1 {
-		t.Errorf("command applied %d times, want exactly once", got)
-	}
-	if e.AppliedSeq(7) != 1 {
-		t.Errorf("AppliedSeq = %d, want 1", e.AppliedSeq(7))
-	}
-	if _, err := e.Submit(7, 0, "bad"); err == nil {
-		t.Error("sequence 0 accepted")
+func TestExactlyOnceAcrossContacts(t *testing.T) {
+	// One (client, seq) submitted to two replicas — a client that timed
+	// out and retried elsewhere — applies once, under loss too.
+	for _, env := range []core.HOProvider{adversary.Full{}, &adversary.TransmissionLoss{Rate: 0.2, RNG: xrand.New(3)}} {
+		g, l := newGroup(t, coreConfig(5, 0), env)
+		if _, err := g.Submit(1, 9, 1, put("once")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Submit(3, 9, 1, put("once")); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, g, 500)
+		for p, lg := range l {
+			if len(lg) != 1 {
+				t.Errorf("%T: replica %d applied %v, want the command exactly once", env, p, lg)
+			}
+		}
+		if got := len(g.Latencies()); got != 2 {
+			t.Errorf("%T: %d contact latencies, want one per contact", env, got)
+		}
 	}
 }
 
 func TestSubmitNextAutoSession(t *testing.T) {
-	l := newLogs(3)
-	e := newEngine(t, Config{N: 3, Provider: fullProvider}, l)
-	if seq := e.SubmitNext(4, "a"); seq != 1 {
-		t.Errorf("first SubmitNext seq = %d, want 1", seq)
+	g, l := newGroup(t, coreConfig(3, 0), adversary.Full{})
+	next := func(want uint64) {
+		t.Helper()
+		if seq, err := g.SubmitNext(0, 4, put("a")); err != nil || seq != want {
+			t.Errorf("SubmitNext = %d, %v; want %d", seq, err, want)
+		}
 	}
-	if seq := e.SubmitNext(4, "b"); seq != 2 {
-		t.Errorf("second SubmitNext seq = %d, want 2", seq)
-	}
+	next(1)
+	next(2)
 	// SubmitNext advances past explicitly submitted sequences too.
-	if ok, err := e.Submit(4, 10, "c"); err != nil || !ok {
-		t.Fatalf("explicit submit: ok=%v err=%v", ok, err)
-	}
-	if seq := e.SubmitNext(4, "d"); seq != 11 {
-		t.Errorf("SubmitNext after seq 10 = %d, want 11", seq)
-	}
-	if _, err := e.Drain(5); err != nil {
+	if _, err := g.Submit(0, 4, 10, put("c")); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(l.byReplica[0]); got != 4 {
+	next(11)
+	settle(t, g, 20)
+	if got := len(l[0]); got != 4 {
 		t.Errorf("applied %d commands, want 4", got)
 	}
 }
 
-func TestConvergenceAndExactlyOnceUnderLoss(t *testing.T) {
-	// Lossy adversary (DT class), batched and 4-deep pipelined: replicas
-	// converge and every retried command applies exactly once.
-	rng := xrand.New(17)
-	provider := func(int) core.HOProvider {
-		return &adversary.TransmissionLoss{Rate: 0.2, RNG: rng.Fork()}
-	}
-	l := newLogs(5)
-	e := newEngine(t, Config{N: 5, Provider: provider, BatchSize: 8, Pipeline: 4, MaxRounds: 500}, l)
-	const cmds = 60
+// submitRetried submits cmds commands round-robin over the contacts,
+// each retried once at the next contact. Every command is its own client
+// session: high-water-mark dedup assumes a client's next sequence number
+// waits for the previous one to apply, as the closed loop does.
+func submitRetried(t *testing.T, g *rsm.Group[cmd], cmds int) {
+	t.Helper()
 	for i := 0; i < cmds; i++ {
-		client := ClientID(i % 3)
-		seq := uint64(i/3 + 1)
-		if ok, err := e.Submit(client, seq, fmt.Sprintf("c%d-%d", client, seq)); err != nil || !ok {
-			t.Fatalf("submit %d: ok=%v err=%v", i, ok, err)
-		}
-		// Every submission is retried once (a client that timed out).
-		if ok, _ := e.Submit(client, seq, fmt.Sprintf("c%d-%d", client, seq)); ok {
-			t.Fatalf("retry of %d accepted", i)
+		for _, p := range []int{i % g.N(), (i + 1) % g.N()} {
+			if _, err := g.Submit(p, uint64(i), 1, put(fmt.Sprint(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	n, err := e.Drain(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != cmds {
-		t.Errorf("committed %d of %d", n, cmds)
+}
+
+func TestConvergenceAndExactlyOnceUnderLoss(t *testing.T) {
+	g, l := newGroup(t, coreConfig(5, 8), &adversary.TransmissionLoss{Rate: 0.2, RNG: xrand.New(17)})
+	const cmds = 60
+	submitRetried(t, g, cmds)
+	settle(t, g, 3000)
+	if st := g.Stats(); st.Committed != cmds || st.Divergent != 0 {
+		t.Errorf("committed %d of %d, divergent %d", st.Committed, cmds, st.Divergent)
 	}
 	if !l.converged() {
 		t.Error("replicas diverged under loss")
@@ -207,240 +198,114 @@ func TestConvergenceAndExactlyOnceUnderLoss(t *testing.T) {
 	}
 }
 
-// crashRecoveryProvider crashes one rotating process for a range of slots
-// and lets it recover afterwards — a crash-recovery schedule at slot
-// granularity (a minority is down, OneThirdRule still clears 2n/3).
-func crashRecoveryProvider(n int) func(slot int) core.HOProvider {
-	return func(slot int) core.HOProvider {
-		switch {
-		case slot >= 2 && slot < 6:
-			return adversary.CrashStop{CrashRound: map[core.ProcessID]core.Round{core.ProcessID(n - 1): 1}}
-		case slot >= 8 && slot < 12:
-			return adversary.CrashStop{CrashRound: map[core.ProcessID]core.Round{core.ProcessID(n - 2): 1}}
-		default:
-			return adversary.Full{}
-		}
-	}
-}
-
 func TestConvergenceAndExactlyOnceUnderCrashRecovery(t *testing.T) {
-	l := newLogs(5)
-	e := newEngine(t, Config{N: 5, Provider: crashRecoveryProvider(5), BatchSize: 4, Pipeline: 2}, l)
+	g, l := newGroup(t, coreConfig(5, 4), adversary.RotatingCrash{Epoch: 20})
 	const cmds = 56
-	for i := 0; i < cmds; i++ {
-		client := ClientID(i % 4)
-		seq := uint64(i/4 + 1)
-		if ok, err := e.Submit(client, seq, fmt.Sprintf("c%d-%d", client, seq)); err != nil || !ok {
-			t.Fatalf("submit %d: ok=%v err=%v", i, ok, err)
-		}
-		e.Submit(client, seq, "retry") // duplicate, dropped
-	}
-	n, err := e.Drain(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != cmds {
-		t.Errorf("committed %d of %d", n, cmds)
+	submitRetried(t, g, cmds)
+	settle(t, g, 3000)
+	if st := g.Stats(); st.Committed != cmds || st.Divergent != 0 {
+		t.Errorf("committed %d of %d, divergent %d", st.Committed, cmds, st.Divergent)
 	}
 	if !l.converged() {
-		t.Error("replicas diverged across crash-recovery slots")
+		t.Error("replicas diverged across crash-recovery epochs")
 	}
 	if dup, has := l.firstDuplicate(); has {
 		t.Errorf("command %q applied twice", dup)
 	}
 }
 
-// fingerprint captures every observable output of an engine run.
-func fingerprint(e *Engine[string], l *logs) string {
-	return fmt.Sprintf("%v|%+v|%v", l.byReplica, e.Stats(), e.Latencies())
-}
-
-func TestParallelSettingInvisible(t *testing.T) {
-	// The same workload through Parallel=1 and Parallel=8 engines yields
-	// byte-identical logs, stats and latencies: pipelining is driven
-	// through internal/sweep, whose results are index-ordered.
-	run := func(parallel int) string {
-		provider := func(slot int) core.HOProvider {
-			return &adversary.TransmissionLoss{Rate: 0.25, RNG: xrand.New(1000 + uint64(slot))}
-		}
-		l := newLogs(5)
-		e := newEngine(t, Config{
-			N: 5, Provider: provider, BatchSize: 6, Pipeline: 8,
-			Parallel: parallel, MaxRounds: 500,
-		}, l)
-		for i := 0; i < 90; i++ {
-			if ok, err := e.Submit(ClientID(i%5), uint64(i/5+1), fmt.Sprintf("m%d", i)); err != nil || !ok {
-				t.Fatalf("submit %d: ok=%v err=%v", i, ok, err)
-			}
-		}
-		if _, err := e.Drain(200); err != nil {
+func TestDrainBudgetExhaustedKeepsSentinel(t *testing.T) {
+	g, _ := newGroup(t, coreConfig(3, 1), adversary.Full{})
+	for i := 0; i < 5; i++ {
+		if _, err := g.SubmitNext(0, 1, put("x")); err != nil {
 			t.Fatal(err)
 		}
-		return fingerprint(e, l)
 	}
-	seq, par := run(1), run(8)
-	if seq != par {
-		t.Errorf("engine state differs between Parallel=1 and Parallel=8:\n%s\nvs\n%s", seq, par)
+	err := rsm.Settle([]*rsm.Group[cmd]{g}, 2)
+	if !errors.Is(err, rsm.ErrTickBudget) {
+		t.Fatalf("error = %v, want ErrTickBudget", err)
 	}
-}
-
-func TestWindowFailureDiscardsSpeculativeSlots(t *testing.T) {
-	// Slot 0 decides, slot 1 (in flight in the same window) cannot: the
-	// window commits its decided prefix, the failed chunk and everything
-	// after it stay pending in submission order, and the error carries
-	// the ErrSlotUndecided sentinel.
-	calls := 0
-	provider := func(slot int) core.HOProvider {
-		calls++
-		if calls == 2 { // the first window's second slot
-			return adversary.Silence{}
-		}
-		return adversary.Full{}
-	}
-	l := newLogs(3)
-	e := newEngine(t, Config{N: 3, Provider: provider, BatchSize: 2, Pipeline: 3, MaxRounds: 5}, l)
-	submitN(t, e, 1, 0, 6)
-
-	n, err := e.DecideWindow()
-	if !errors.Is(err, ErrSlotUndecided) {
-		t.Fatalf("error = %v, want ErrSlotUndecided", err)
-	}
-	if n != 2 {
-		t.Errorf("committed %d commands, want the 2 of the decided prefix slot", n)
-	}
-	st := e.Stats()
-	if st.Slots != 1 || st.Launched != 3 || st.Aborted != 2 {
-		t.Errorf("stats = %+v, want slots=1 launched=3 aborted=2", st)
-	}
-	if e.Pending() != 4 {
-		t.Fatalf("pending = %d, want 4", e.Pending())
-	}
-
-	// Recovery: the remaining commands drain in submission order.
-	if _, err := e.Drain(10); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"c1-1", "c1-2", "c1-3", "c1-4", "c1-5", "c1-6"}
-	if !reflect.DeepEqual(l.byReplica[0], want) {
-		t.Errorf("commit order %v, want %v", l.byReplica[0], want)
-	}
-	if !l.converged() {
-		t.Error("replicas diverged after a window abort")
-	}
-}
-
-func TestFailedSlotRetriesUnderFreshEnvironment(t *testing.T) {
-	// Providers are keyed by LAUNCH number, not committed-slot number: a
-	// slot whose environment never decides is retried under the next
-	// launch's environment instead of deterministically replaying the
-	// fatal one forever (which is what slot-keyed indexes would do with
-	// factories like adversary.SlotLoss).
-	provider := func(launch int) core.HOProvider {
-		if launch == 0 {
-			return adversary.Silence{}
-		}
-		return adversary.Full{}
-	}
-	l := newLogs(3)
-	e := newEngine(t, Config{N: 3, Provider: provider, MaxRounds: 5}, l)
-	submitN(t, e, 1, 0, 3)
-	if _, err := e.DecideWindow(); !errors.Is(err, ErrSlotUndecided) {
-		t.Fatalf("first window error = %v, want ErrSlotUndecided", err)
-	}
-	// The retry is launch 1 → Full → decides.
-	n, err := e.Drain(5)
-	if err != nil {
-		t.Fatalf("retry after failed slot: %v", err)
-	}
-	if n != 3 {
-		t.Errorf("retry committed %d of 3", n)
+	if st := g.Stats(); st.Committed >= 5 {
+		t.Errorf("committed %d of 5 in 2 ticks", st.Committed)
 	}
 }
 
 func TestDrainBudgetIsAHardLaunchBound(t *testing.T) {
-	// The final window is clamped to the remaining budget: a 4-deep
-	// pipeline must not overshoot Drain(3) to 4 launches.
-	l := newLogs(3)
-	e := newEngine(t, Config{N: 3, Provider: fullProvider, BatchSize: 1, Pipeline: 4}, l)
-	submitN(t, e, 1, 0, 10)
-	n, err := e.Drain(3)
-	if !errors.Is(err, ErrSlotUndecided) {
-		t.Fatalf("error = %v, want ErrSlotUndecided (budget exhausted)", err)
-	}
-	if got := e.Stats().Launched; got != 3 {
-		t.Errorf("launched %d instances under Drain(3), want exactly 3", got)
-	}
-	if n != 3 || e.Pending() != 7 {
-		t.Errorf("committed %d pending %d, want 3 and 7", n, e.Pending())
-	}
-}
-
-func TestDrainBudgetExhaustedKeepsSentinel(t *testing.T) {
-	l := newLogs(3)
-	e := newEngine(t, Config{N: 3, Provider: fullProvider, BatchSize: 1}, l)
-	submitN(t, e, 1, 0, 5)
-	n, err := e.Drain(2)
-	if !errors.Is(err, ErrSlotUndecided) {
-		t.Fatalf("error = %v, want ErrSlotUndecided", err)
-	}
-	if n != 2 || e.Pending() != 3 {
-		t.Errorf("committed %d pending %d, want 2 and 3", n, e.Pending())
-	}
-}
-
-func TestEmptyWindowIsNoOpSlot(t *testing.T) {
-	l := newLogs(3)
-	e := newEngine(t, Config{N: 3, Provider: fullProvider}, l)
-	n, err := e.DecideWindow()
-	if err != nil {
+	// The tick budget is a hard bound: a group that can never decide
+	// stops after exactly the budget.
+	g, _ := newGroup(t, coreConfig(3, 0), adversary.Silence{})
+	if _, err := g.SubmitNext(0, 1, put("x")); err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Errorf("empty window committed %d commands", n)
+	if err := rsm.Settle([]*rsm.Group[cmd]{g}, 7); !errors.Is(err, rsm.ErrTickBudget) {
+		t.Fatalf("error = %v, want ErrTickBudget", err)
 	}
-	if e.Stats().Slots != 1 {
-		t.Errorf("slots = %d, want 1", e.Stats().Slots)
+	if st := g.Stats(); st.Ticks != 7 || st.Slots != 0 {
+		t.Errorf("ticks %d slots %d, want 7 and 0", st.Ticks, st.Slots)
 	}
 }
 
 func TestLatencyAccounting(t *testing.T) {
-	l := newLogs(3)
-	e := newEngine(t, Config{N: 3, Provider: fullProvider}, l)
-	submitN(t, e, 1, 0, 2)
-	if _, err := e.Drain(3); err != nil {
-		t.Fatal(err)
+	// A command submitted at tick 0 under good rounds is decided by OTR
+	// in two rounds: latency 2 ticks at its contact.
+	g, _ := newGroup(t, coreConfig(3, 0), adversary.Full{})
+	for p := 0; p < 2; p++ {
+		if _, err := g.SubmitNext(p, uint64(p), put("x")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	lats := e.Latencies()
+	settle(t, g, 20)
+	lats := g.Latencies()
 	if len(lats) != 2 {
 		t.Fatalf("latencies = %v, want 2 entries", lats)
 	}
 	for _, lat := range lats {
-		if lat < 1 {
-			t.Errorf("latency %d < 1 round", lat)
+		if lat < 2 {
+			t.Errorf("latency %d < 2 ticks", lat)
 		}
 	}
-	if e.Stats().WallRounds < 1 {
-		t.Error("wall clock did not advance")
+	if g.Stats().Ticks < 2 {
+		t.Error("clock did not advance")
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	apply := func(int, string) {}
-	bad := []Config{
-		{N: 0, Algorithm: otr.Algorithm{}, Provider: fullProvider, MaxRounds: 10},
-		{N: 3, Provider: fullProvider, MaxRounds: 10},
-		{N: 3, Algorithm: otr.Algorithm{}, MaxRounds: 10},
-		{N: 3, Algorithm: otr.Algorithm{}, Provider: fullProvider},
-		{N: 3, Algorithm: otr.Algorithm{}, Provider: fullProvider, MaxRounds: 10, BatchSize: 64},
-		{N: 3, Algorithm: otr.Algorithm{}, Provider: fullProvider, MaxRounds: 10, BatchSize: -1},
-		{N: 3, Algorithm: otr.Algorithm{}, Provider: fullProvider, MaxRounds: 10, Pipeline: -2},
+	bad := []live.CoreConfig[cmd]{
+		coreConfig(0, 0),
+		{N: 3, Msg: otr.WireCodec{}, Batch: kvstore.Codec{}},
+		{N: 3, Algorithm: otr.Algorithm{}, Batch: kvstore.Codec{}},
+		{N: 3, Algorithm: otr.Algorithm{}, Msg: otr.WireCodec{}},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg, apply); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+		if _, err := rsm.NewGroup(cfg, adversary.Full{}, nil); err == nil {
+			t.Errorf("config %d accepted", i)
 		}
 	}
-	if _, err := New[string](Config{N: 3, Algorithm: otr.Algorithm{}, Provider: fullProvider, MaxRounds: 10}, nil); err == nil {
-		t.Error("nil apply accepted")
+	if _, err := rsm.NewGroup(coreConfig(3, 0), nil, nil); err == nil {
+		t.Error("nil provider accepted")
+	}
+}
+
+func TestConvergesUnderEveryEnvironment(t *testing.T) {
+	lv := live.CoreConfig[cmd]{N: 3, Algorithm: lastvoting.Algorithm{}, Msg: lastvoting.WireCodec{}, Batch: kvstore.Codec{}}
+	for _, tc := range []struct {
+		name string
+		cfg  live.CoreConfig[cmd]
+		env  core.HOProvider
+	}{
+		{"good", coreConfig(5, 8), adversary.Full{}},
+		{"loss 20%", coreConfig(5, 8), &adversary.TransmissionLoss{Rate: 0.2, RNG: xrand.New(8)}},
+		{"crash-recovery", coreConfig(5, 8), adversary.RotatingCrash{Epoch: 20}},
+		{"lastvoting loss 10%", lv, &adversary.TransmissionLoss{Rate: 0.1, RNG: xrand.New(8)}},
+	} {
+		g, l := newGroup(t, tc.cfg, tc.env)
+		submitRetried(t, g, 40)
+		settle(t, g, 3000)
+		if st := g.Stats(); st.Committed != 40 || st.Divergent != 0 {
+			t.Errorf("%s: committed %d of 40, divergent %d", tc.name, st.Committed, st.Divergent)
+		}
+		if !g.Settled() || !l.converged() {
+			t.Errorf("%s: replicas did not converge", tc.name)
+		}
 	}
 }

@@ -1,10 +1,10 @@
-// Closed-loop workload generation over an Engine: a configurable client
+// Closed-loop workload generation over one or more groups: a client
 // population drives the replication service and the run reports
-// throughput, slot amortization, and latency-in-rounds percentiles.
-// Everything is deterministic in (engine config, WorkloadConfig), so the
-// same workload can be replayed across fault environments — the scenario
-// diversity that Shimi et al. argue is the payoff of the predicate
-// abstraction — and compared number-for-number.
+// throughput, slot amortization, and latency-in-ticks percentiles.
+// Everything is deterministic in (group configs, providers,
+// WorkloadConfig), so one workload replays across fault environments —
+// the scenario diversity Shimi et al. argue is the payoff of the
+// predicate abstraction — and compares number for number.
 
 package rsm
 
@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 
-	"heardof/internal/core"
 	"heardof/internal/xrand"
 )
 
@@ -38,24 +37,25 @@ func (d KeyDist) String() string {
 
 // Op is one generated operation, handed to the command constructor.
 type Op struct {
-	Client ClientID
+	Client uint64
 	Seq    uint64
-	// Write distinguishes the read/write mix (the engine replicates both:
-	// a read through the log is a linearizable read).
+	// Write distinguishes the read/write mix (both replicate: a read
+	// through the log is a linearizable read).
 	Write bool
 	// Key is an index into the key space.
 	Key int
 }
 
-// WorkloadConfig parameterizes a closed-loop run: each of Clients clients
-// keeps at most one command outstanding, submitting a new one with
-// probability Rate per window while idle, until Ops commands have been
-// submitted and committed.
+// WorkloadConfig parameterizes a closed-loop run: each of Clients
+// clients keeps at most one command outstanding, submitting a new one
+// with probability Rate per tick while idle, until Ops commands have
+// been submitted and applied at their contact replicas.
 type WorkloadConfig struct {
-	// Clients is the closed-loop client population.
+	// Clients is the closed-loop client population. Client c submits to
+	// contact replica c mod n of the group owning each operation.
 	Clients int
-	// Rate is the per-window submission probability of an idle client
-	// (the arrival process), in (0, 1].
+	// Rate is the per-tick submission probability of an idle client, in
+	// (0, 1].
 	Rate float64
 	// WriteRatio is the fraction of writes in the mix, in [0, 1].
 	WriteRatio float64
@@ -65,43 +65,44 @@ type WorkloadConfig struct {
 	Dist KeyDist
 	// ZipfS is the Zipfian exponent. An explicit 0 is honored as s = 0
 	// (a uniform draw through the Zipf sampler); defaults such as the
-	// YCSB 0.99 live in the flag/config layer (cmd/hoload -zipf), not
-	// here, so `-zipf 0` means what it says.
+	// YCSB 0.99 live in the flag layer (cmd/hoload -zipf), not here.
 	ZipfS float64
-	// Ops is the total number of commands to commit.
+	// Ops is the total number of commands to complete.
 	Ops int
-	// MaxSlots bounds consensus instances launched before giving up.
-	MaxSlots int
+	// MaxTicks bounds the whole run, settling included.
+	MaxTicks int
 	// Seed drives the workload's private RNG stream.
 	Seed uint64
 }
 
-// WorkloadResult reports a run's service-level measurements. All fields
-// are deterministic; none depend on wall-clock time or scheduling.
+// WorkloadResult reports a run's service-level measurements, all in
+// virtual time and all deterministic.
 type WorkloadResult struct {
-	// Completed counts committed commands (== Ops on success).
+	// Completed counts commands applied at their contact replicas.
 	Completed int
-	// Slots and Launched mirror the engine counters for the run.
-	Slots    int
-	Launched int
-	// WallRounds is elapsed service time in rounds; TotalRounds is
-	// consensus work in rounds (> WallRounds when pipelining overlaps).
-	WallRounds  core.Round
-	TotalRounds core.Round
-	// SlotsPerCmd is Slots/Completed — the amortization the batch codec
-	// buys (1.0 would be the old one-command-per-slot layer).
+	// Slots counts decided slots; Rounds sums consensus rounds over
+	// every replica.
+	Slots  int
+	Rounds int64
+	// Ticks is the run's clock: virtual rounds until the last command
+	// completed (groups tick in lockstep, so it is shared).
+	Ticks int
+	// SlotsPerCmd is Slots/Completed — the amortization batching buys.
 	SlotsPerCmd float64
-	// CmdsPerRound is Completed/WallRounds — closed-loop throughput in
-	// commands per simulated round.
-	CmdsPerRound float64
-	// LatencyP50/P95/P99 are commit-latency percentiles in rounds,
-	// measured from submission to in-order apply.
-	LatencyP50, LatencyP95, LatencyP99 core.Round
+	// CmdsPerTick is Completed/Ticks — closed-loop throughput.
+	CmdsPerTick float64
+	// LatencyP50/P95/P99 are nearest-rank percentiles, in ticks, from
+	// submission to apply at the contact replica.
+	LatencyP50, LatencyP95, LatencyP99 int
+	// Divergent sums conflicting decision observations (0 under
+	// consensus safety).
+	Divergent int
+	// PerGroup holds one result per group (its Ticks is the shared
+	// clock); nil inside PerGroup itself.
+	PerGroup []WorkloadResult
 }
 
-// Validate checks the generator parameters — the part of the
-// configuration shared by every workload harness (this package's
-// RunWorkload and internal/shard's).
+// Validate checks the generator parameters.
 func (cfg WorkloadConfig) Validate() error {
 	if cfg.Clients < 1 {
 		return fmt.Errorf("workload needs ≥ 1 client, got %d", cfg.Clients)
@@ -112,9 +113,9 @@ func (cfg WorkloadConfig) Validate() error {
 	if cfg.WriteRatio < 0 || cfg.WriteRatio > 1 {
 		return fmt.Errorf("write ratio %v outside [0, 1]", cfg.WriteRatio)
 	}
-	if cfg.Keys < 1 || cfg.Ops < 1 || cfg.MaxSlots < 1 {
-		return fmt.Errorf("workload needs positive Keys, Ops and MaxSlots (got %d, %d, %d)",
-			cfg.Keys, cfg.Ops, cfg.MaxSlots)
+	if cfg.Keys < 1 || cfg.Ops < 1 || cfg.MaxTicks < 1 {
+		return fmt.Errorf("workload needs positive Keys, Ops and MaxTicks (got %d, %d, %d)",
+			cfg.Keys, cfg.Ops, cfg.MaxTicks)
 	}
 	if cfg.ZipfS < 0 {
 		return fmt.Errorf("zipfian exponent %v is negative", cfg.ZipfS)
@@ -122,44 +123,49 @@ func (cfg WorkloadConfig) Validate() error {
 	return nil
 }
 
-// ResultFromStats derives a WorkloadResult from engine counters and the
-// (not necessarily sorted) latencies of the same run — the one mapping
-// from raw counters to service-level numbers, shared by this harness and
-// the per-shard views of internal/shard. lats is sorted in place.
-func ResultFromStats(st Stats, lats []core.Round) WorkloadResult {
-	var res WorkloadResult
-	res.Completed = st.Committed
-	res.Slots = st.Slots
-	res.Launched = st.Launched
-	res.WallRounds = st.WallRounds
-	res.TotalRounds = st.TotalRounds
-	if st.Committed > 0 {
-		res.SlotsPerCmd = float64(st.Slots) / float64(st.Committed)
+// resultOf derives the service-level numbers from raw counts; lats is
+// sorted in place.
+func resultOf(st Stats, ticks int, lats []int) WorkloadResult {
+	res := WorkloadResult{
+		Completed: len(lats), Slots: int(st.Slots), Rounds: st.Rounds,
+		Ticks: ticks, Divergent: st.Divergent,
 	}
-	if st.WallRounds > 0 {
-		res.CmdsPerRound = float64(st.Committed) / float64(st.WallRounds)
+	if res.Completed > 0 {
+		res.SlotsPerCmd = float64(res.Slots) / float64(res.Completed)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	if ticks > 0 {
+		res.CmdsPerTick = float64(res.Completed) / float64(ticks)
+	}
+	sort.Ints(lats)
 	res.LatencyP50 = Percentile(lats, 0.50)
 	res.LatencyP95 = Percentile(lats, 0.95)
 	res.LatencyP99 = Percentile(lats, 0.99)
 	return res
 }
 
-// RunWorkload drives a closed loop over a fresh engine. makeCmd turns a
-// generated operation into the engine's command type. The engine must be
-// unused (zero committed commands); reusing one would fold the previous
-// run into the reported counters.
-func RunWorkload[C any](e *Engine[C], cfg WorkloadConfig, makeCmd func(Op) C) (WorkloadResult, error) {
-	var res WorkloadResult
-	if e.stats.Launched != 0 || e.Pending() != 0 {
-		return res, errors.New("rsm: RunWorkload needs a fresh engine")
+// RunWorkload drives a closed loop over fresh groups ticking in
+// lockstep, then settles them. route maps an operation to its group; nil
+// is allowed only for a single group. makeCmd builds the command.
+func RunWorkload[C any](groups []*Group[C], cfg WorkloadConfig, makeCmd func(Op) C, route func(Op) int) (WorkloadResult, error) {
+	if len(groups) == 0 {
+		return WorkloadResult{}, errors.New("rsm: no groups")
+	}
+	for i, g := range groups {
+		if g.now != 0 || len(g.submitted) != 0 || len(g.latencies) != 0 {
+			return WorkloadResult{}, fmt.Errorf("rsm: RunWorkload needs fresh groups (group %d is used)", i)
+		}
 	}
 	if err := cfg.Validate(); err != nil {
-		return res, fmt.Errorf("rsm: %w", err)
+		return WorkloadResult{}, fmt.Errorf("rsm: %w", err)
 	}
 	if makeCmd == nil {
-		return res, errors.New("rsm: nil command constructor")
+		return WorkloadResult{}, errors.New("rsm: nil command constructor")
+	}
+	if route == nil {
+		if len(groups) > 1 {
+			return WorkloadResult{}, errors.New("rsm: nil router over several groups")
+		}
+		route = func(Op) int { return 0 }
 	}
 
 	rng := xrand.New(cfg.Seed)
@@ -174,60 +180,81 @@ func RunWorkload[C any](e *Engine[C], cfg WorkloadConfig, makeCmd func(Op) C) (W
 		return rng.Intn(cfg.Keys)
 	}
 
-	nextSeq := make([]uint64, cfg.Clients) // last sequence submitted per client
-	submitted := 0
-	finish := func(err error) (WorkloadResult, error) {
-		res = ResultFromStats(e.Stats(), e.Latencies())
+	// outstanding[c] is client c's in-flight command (seq 0 = idle).
+	type inflight struct {
+		group, contact int
+		seq            uint64
+	}
+	outstanding := make([]inflight, cfg.Clients)
+	completed := func() int {
+		total := 0
+		for _, g := range groups {
+			total += len(g.latencies)
+		}
+		return total
+	}
+	finish := func(ticks int, err error) (WorkloadResult, error) {
+		var agg Stats
+		var pooled []int
+		per := make([]WorkloadResult, len(groups))
+		for i, g := range groups {
+			st, lats := g.Stats(), g.Latencies()
+			per[i] = resultOf(st, ticks, lats)
+			agg.Slots += st.Slots
+			agg.Rounds += st.Rounds
+			agg.Divergent += st.Divergent
+			pooled = append(pooled, lats...)
+		}
+		res := resultOf(agg, ticks, pooled)
+		res.PerGroup = per
 		return res, err
 	}
 
-	// The loop always terminates: every pass either submits (bounded by
-	// Ops), launches slots (bounded by MaxSlots), or advances the RNG
-	// toward the next arrival; the guard catches a pathological Rate.
-	guard := 1000 * (cfg.MaxSlots + cfg.Ops + 1)
-	for iter := 0; e.Stats().Committed < cfg.Ops; iter++ {
-		if iter > guard {
-			return finish(fmt.Errorf("rsm: workload stalled after %d passes (rate %v too low?)", iter, cfg.Rate))
+	submitted := 0
+	for completed() < cfg.Ops {
+		if groups[0].now >= cfg.MaxTicks {
+			return finish(groups[0].now, fmt.Errorf("rsm: workload completed %d of %d commands in %d ticks: %w",
+				completed(), cfg.Ops, cfg.MaxTicks, ErrTickBudget))
 		}
 		for c := 0; c < cfg.Clients && submitted < cfg.Ops; c++ {
-			client := ClientID(c)
-			if nextSeq[c] > e.AppliedSeq(client) {
-				continue // closed loop: one outstanding command per client
+			client := uint64(c)
+			if fl := outstanding[c]; fl.seq != 0 {
+				if !groups[fl.group].Core(fl.contact).SeqApplied(client, fl.seq) {
+					continue // closed loop: one outstanding command per client
+				}
+				outstanding[c] = inflight{}
 			}
 			if !rng.Bool(cfg.Rate) {
 				continue
 			}
-			nextSeq[c]++
-			op := Op{Client: client, Seq: nextSeq[c], Write: rng.Bool(cfg.WriteRatio), Key: nextKey()}
-			if ok, err := e.Submit(client, op.Seq, makeCmd(op)); err != nil || !ok {
-				return finish(fmt.Errorf("rsm: workload submit rejected (ok=%v): %w", ok, err))
+			op := Op{Client: client, Write: rng.Bool(cfg.WriteRatio), Key: nextKey()}
+			gi := route(op)
+			if gi < 0 || gi >= len(groups) {
+				return finish(groups[0].now, fmt.Errorf("rsm: router sent an op to group %d of %d", gi, len(groups)))
 			}
+			g := groups[gi]
+			contact := c % g.N()
+			op.Seq = g.Core(contact).NextSeq(client)
+			if _, err := g.Submit(contact, client, op.Seq, makeCmd(op)); err != nil {
+				return finish(groups[0].now, err)
+			}
+			outstanding[c] = inflight{group: gi, contact: contact, seq: op.Seq}
 			submitted++
 		}
-		if e.Pending() == 0 {
-			continue // nothing arrived this pass; no slot to spend
-		}
-		remaining := cfg.MaxSlots - e.Stats().Launched
-		if remaining <= 0 {
-			return finish(fmt.Errorf("rsm: workload slot budget exhausted with %d of %d committed: %w",
-				e.Stats().Committed, cfg.Ops, ErrSlotUndecided))
-		}
-		// Clamp the window so MaxSlots is a hard launch bound.
-		if _, err := e.decideWindow(remaining); err != nil {
-			return finish(fmt.Errorf("rsm: workload window failed: %w", err))
+		for _, g := range groups {
+			g.Tick()
 		}
 	}
-	return finish(nil)
+	ticks := groups[0].now
+	if err := Settle(groups, cfg.MaxTicks-ticks); err != nil {
+		return finish(ticks, err)
+	}
+	return finish(ticks, nil)
 }
 
-// Percentile returns the q-quantile of an already-sorted latency slice
-// using the nearest-rank definition — index ⌈q·n⌉−1 — or 0 for an empty
-// slice. (An earlier version rounded q·n half-up, which picks the rank
-// BELOW the nearest rank whenever q·n falls strictly between two
-// integers by less than 0.5 — e.g. n=39, q=0.95: ⌈37.05⌉−1 = 37, but
-// round-half-up gave 36.) Shared by the per-group and sharded workload
-// harnesses.
-func Percentile(sorted []core.Round, q float64) core.Round {
+// Percentile returns the q-quantile of an already-sorted slice using the
+// nearest-rank definition — index ⌈q·n⌉−1 — or 0 for an empty slice.
+func Percentile(sorted []int, q float64) int {
 	if len(sorted) == 0 {
 		return 0
 	}

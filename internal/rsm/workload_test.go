@@ -1,4 +1,4 @@
-package rsm
+package rsm_test
 
 import (
 	"errors"
@@ -7,230 +7,306 @@ import (
 
 	"heardof/internal/adversary"
 	"heardof/internal/core"
+	"heardof/internal/kvstore"
+	"heardof/internal/rsm"
 	"heardof/internal/xrand"
 )
 
-func workloadEngine(t *testing.T, provider func(int) core.HOProvider, pipeline int) (*Engine[string], *logs) {
+// workloadGroups builds len(envs) fresh 5-replica groups, one per
+// environment, with apply logs.
+func workloadGroups(t testing.TB, envs ...core.HOProvider) ([]*rsm.Group[cmd], []logs) {
 	t.Helper()
-	l := newLogs(5)
-	e := newEngine(t, Config{N: 5, Provider: provider, BatchSize: 8, Pipeline: pipeline, MaxRounds: 500}, l)
-	return e, l
+	groups := make([]*rsm.Group[cmd], len(envs))
+	ls := make([]logs, len(envs))
+	for i, env := range envs {
+		groups[i], ls[i] = newGroup(t, coreConfig(5, 8), env)
+	}
+	return groups, ls
 }
 
-func opCmd(op Op) string {
-	kind := "r"
-	if op.Write {
-		kind = "w"
+func lossEnv(rate float64, seed uint64) core.HOProvider {
+	return &adversary.TransmissionLoss{Rate: rate, RNG: xrand.New(seed)}
+}
+
+func checkConverged(t *testing.T, ls []logs) {
+	t.Helper()
+	for i, l := range ls {
+		if !l.converged() {
+			t.Errorf("group %d: replicas diverged", i)
+		}
+		if dup, has := l.firstDuplicate(); has {
+			t.Errorf("group %d: command %q applied twice", i, dup)
+		}
 	}
-	return fmt.Sprintf("%s c%d#%d k%d", kind, op.Client, op.Seq, op.Key)
 }
 
 func TestWorkloadClosedLoopCompletes(t *testing.T) {
-	e, l := workloadEngine(t, fullProvider, 4)
-	res, err := RunWorkload(e, WorkloadConfig{
+	groups, ls := workloadGroups(t, adversary.Full{})
+	res, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
 		Clients: 10, Rate: 0.8, WriteRatio: 0.7, Keys: 32,
-		Dist: Zipfian, ZipfS: 0.99, Ops: 120, MaxSlots: 400, Seed: 3,
-	}, opCmd)
+		Dist: rsm.Zipfian, ZipfS: 0.99, Ops: 120, MaxTicks: 2000, Seed: 3,
+	}, kvstore.WorkloadCommand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 120 {
-		t.Errorf("completed %d of 120", res.Completed)
+	if res.Completed != 120 || res.Divergent != 0 {
+		t.Errorf("completed %d of 120, divergent %d", res.Completed, res.Divergent)
 	}
 	if res.SlotsPerCmd >= 1 {
 		t.Errorf("slots/cmd = %v; batching should amortize below 1", res.SlotsPerCmd)
 	}
-	if res.CmdsPerRound <= 0 {
-		t.Errorf("throughput = %v", res.CmdsPerRound)
+	if res.CmdsPerTick <= 0 {
+		t.Errorf("throughput = %v", res.CmdsPerTick)
 	}
 	if res.LatencyP50 < 1 || res.LatencyP95 < res.LatencyP50 || res.LatencyP99 < res.LatencyP95 {
 		t.Errorf("latency percentiles out of order: p50=%d p95=%d p99=%d",
 			res.LatencyP50, res.LatencyP95, res.LatencyP99)
 	}
-	if !l.converged() {
-		t.Error("replicas diverged")
-	}
-	if dup, has := l.firstDuplicate(); has {
-		t.Errorf("command %q applied twice", dup)
-	}
+	checkConverged(t, ls)
 }
 
 func TestWorkloadUnderLossStillExactlyOnce(t *testing.T) {
-	rng := xrand.New(23)
-	provider := func(int) core.HOProvider {
-		return &adversary.TransmissionLoss{Rate: 0.25, RNG: rng.Fork()}
-	}
-	e, l := workloadEngine(t, provider, 4)
-	res, err := RunWorkload(e, WorkloadConfig{
+	groups, ls := workloadGroups(t, lossEnv(0.25, 23))
+	res, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
 		Clients: 6, Rate: 0.9, WriteRatio: 0.5, Keys: 16,
-		Dist: Uniform, Ops: 60, MaxSlots: 600, Seed: 5,
-	}, opCmd)
+		Dist: rsm.Uniform, Ops: 60, MaxTicks: 3000, Seed: 5,
+	}, kvstore.WorkloadCommand, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 60 {
-		t.Errorf("completed %d of 60", res.Completed)
+	if res.Completed != 60 || len(ls[0][0]) != 60 {
+		t.Errorf("completed %d of 60, applied %d", res.Completed, len(ls[0][0]))
 	}
-	if !l.converged() {
-		t.Error("replicas diverged under loss")
-	}
-	if dup, has := l.firstDuplicate(); has {
-		t.Errorf("command %q applied twice", dup)
+	checkConverged(t, ls)
+}
+
+// TestOTRTimeoutLivelockRegression pins the round-timeout rule: with a
+// one-tick window for every round, OTR at n=5 under 20% loss completed
+// 1–9 of 150 commands in 5000 ticks, because a replica that timed out
+// stayed a round ahead of the group for good. Rounds entered by a
+// timeout now wait two ticks, and the E10 shape finishes well inside
+// the budget.
+func TestOTRTimeoutLivelockRegression(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		groups, ls := workloadGroups(t, lossEnv(0.2, seed))
+		res, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
+			Clients: 16, Rate: 0.7, WriteRatio: 0.75, Keys: 48,
+			Dist: rsm.Zipfian, ZipfS: 0.99, Ops: 150, MaxTicks: 1500, Seed: seed,
+		}, kvstore.WorkloadCommand, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v (completed %d)", seed, err, res.Completed)
+		}
+		checkConverged(t, ls)
 	}
 }
 
-func TestWorkloadDeterministic(t *testing.T) {
-	run := func() (WorkloadResult, string) {
-		provider := func(slot int) core.HOProvider {
-			return &adversary.TransmissionLoss{Rate: 0.15, RNG: xrand.New(5000 + uint64(slot))}
+// fingerprint captures a run's observable output: the result and every
+// replica's decision-log hash.
+func fingerprint(res rsm.WorkloadResult, groups []*rsm.Group[cmd]) string {
+	out := fmt.Sprintf("%+v", res)
+	for _, g := range groups {
+		for p := 0; p < g.N(); p++ {
+			n, h := g.Core(p).LogFingerprint()
+			out += fmt.Sprintf("|%d:%x", n, h)
 		}
-		e, l := workloadEngine(t, provider, 4)
-		res, err := RunWorkload(e, WorkloadConfig{
+	}
+	return out
+}
+
+func TestWorkloadDeterministic(t *testing.T) {
+	run := func() string {
+		groups, _ := workloadGroups(t, lossEnv(0.15, 5000))
+		res, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
 			Clients: 8, Rate: 0.7, WriteRatio: 0.6, Keys: 24,
-			Dist: Zipfian, ZipfS: 0.99, Ops: 80, MaxSlots: 500, Seed: 11,
-		}, opCmd)
+			Dist: rsm.Zipfian, ZipfS: 0.99, Ops: 80, MaxTicks: 3000, Seed: 11,
+		}, kvstore.WorkloadCommand, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, fingerprint(e, l)
+		return fingerprint(res, groups)
 	}
-	r1, f1 := run()
-	r2, f2 := run()
-	if r1 != r2 {
-		t.Errorf("results differ: %+v vs %+v", r1, r2)
-	}
-	if f1 != f2 {
-		t.Error("engine fingerprints differ between identical runs")
+	if a, b := run(), run(); a != b {
+		t.Errorf("same seed, different runs:\n%s\n%s", a, b)
 	}
 }
 
 func TestWorkloadBudgetExhaustion(t *testing.T) {
-	e, _ := workloadEngine(t, fullProvider, 1)
-	_, err := RunWorkload(e, WorkloadConfig{
-		Clients: 4, Rate: 1, WriteRatio: 1, Keys: 4,
-		Ops: 500, MaxSlots: 3, Seed: 1,
-	}, opCmd)
-	if !errors.Is(err, ErrSlotUndecided) {
-		t.Errorf("error = %v, want ErrSlotUndecided", err)
+	groups, _ := workloadGroups(t, adversary.Full{})
+	res, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
+		Clients: 4, Rate: 1, WriteRatio: 1, Keys: 4, Ops: 500, MaxTicks: 3, Seed: 1,
+	}, kvstore.WorkloadCommand, nil)
+	if !errors.Is(err, rsm.ErrTickBudget) {
+		t.Errorf("error = %v, want ErrTickBudget", err)
+	}
+	if res.Ticks != 3 {
+		t.Errorf("ran %d ticks on a budget of 3", res.Ticks)
+	}
+}
+
+func TestShardedWorkloadCompletes(t *testing.T) {
+	// Four groups, mixed environments, one closed loop routed by key.
+	groups, ls := workloadGroups(t, adversary.Full{}, lossEnv(0.3, 7), adversary.RotatingCrash{Epoch: 20}, adversary.Full{})
+	res, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
+		Clients: 16, Rate: 0.8, WriteRatio: 0.75, Keys: 64,
+		Dist: rsm.Uniform, Ops: 200, MaxTicks: 4000, Seed: 4,
+	}, kvstore.WorkloadCommand, kvstore.WorkloadRoute(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0
+	for i, pg := range res.PerGroup {
+		if pg.Completed == 0 {
+			t.Errorf("group %d completed nothing", i)
+		}
+		if pg.Ticks != res.Ticks {
+			t.Errorf("group %d clock %d, shared clock %d", i, pg.Ticks, res.Ticks)
+		}
+		sum += pg.Completed
+	}
+	if res.Completed != 200 || sum != 200 {
+		t.Errorf("completed %d (groups sum %d) of 200", res.Completed, sum)
+	}
+	checkConverged(t, ls)
+}
+
+func TestShardedWorkloadDeterministic(t *testing.T) {
+	run := func() string {
+		groups, _ := workloadGroups(t, lossEnv(0.2, 1), adversary.RotatingCrash{Epoch: 20}, adversary.Full{})
+		res, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
+			Clients: 12, Rate: 0.7, WriteRatio: 0.75, Keys: 48,
+			Dist: rsm.Zipfian, ZipfS: 0.99, Ops: 150, MaxTicks: 4000, Seed: 2,
+		}, kvstore.WorkloadCommand, kvstore.WorkloadRoute(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint(res, groups)
+	}
+	if a, b := run(), run(); a != b {
+		t.Errorf("same seed, different runs:\n%s\n%s", a, b)
+	}
+}
+
+func TestShardedWorkloadBudgetIsGlobalHardBound(t *testing.T) {
+	// One tick budget covers every group: the lockstep clock stops at it
+	// even when one group can never decide.
+	groups, _ := workloadGroups(t, adversary.Full{}, adversary.Silence{})
+	res, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
+		Clients: 8, Rate: 1, WriteRatio: 1, Keys: 16, Ops: 100, MaxTicks: 50, Seed: 1,
+	}, kvstore.WorkloadCommand, kvstore.WorkloadRoute(2))
+	if !errors.Is(err, rsm.ErrTickBudget) {
+		t.Fatalf("error = %v, want ErrTickBudget", err)
+	}
+	for i, g := range groups {
+		if tk := g.Stats().Ticks; tk != 50 {
+			t.Errorf("group %d ran %d ticks on a global budget of 50", i, tk)
+		}
+	}
+	if res.PerGroup[1].Completed != 0 {
+		t.Errorf("the silent group completed %d commands", res.PerGroup[1].Completed)
 	}
 }
 
 func TestPercentileNearestRank(t *testing.T) {
-	// Regression: the old implementation rounded q·n half-up
-	// (int(q·n+0.5)−1), which undershoots the nearest rank ⌈q·n⌉−1
-	// whenever frac(q·n) ∈ (0, 0.5) — e.g. n=39, q=0.95 gave index 36
-	// instead of 37.
-	seq := func(n int) []core.Round {
-		out := make([]core.Round, n)
+	// Nearest rank is ⌈q·n⌉−1; rounding q·n half-up undershoots it
+	// whenever frac(q·n) ∈ (0, 0.5) — e.g. n=39, q=0.95 gave 36, not 37.
+	seq := func(n int) []int {
+		out := make([]int, n)
 		for i := range out {
-			out[i] = core.Round(i) // sorted[i] == i, so values ARE indexes
+			out[i] = i // sorted[i] == i, so values ARE indexes
 		}
 		return out
 	}
 	tests := []struct {
 		n    int
 		q    float64
-		want core.Round
+		want int
 	}{
-		{39, 0.95, 37},   // ⌈37.05⌉−1 = 37; the old code picked 36
-		{39, 0.50, 19},   // ⌈19.5⌉−1 = 19
-		{39, 0.99, 38},   // ⌈38.61⌉−1 = 38
-		{150, 0.99, 148}, // ⌈148.5⌉−1 = 148; the old code picked 147
-		{100, 0.95, 94},  // q·n integral: ⌈95⌉−1 = 94
-		{100, 0.50, 49},
-		{1, 0.99, 0},
-		{10, 0.01, 0}, // ⌈0.1⌉−1 = 0
-		{4, 1.0, 3},   // q = 1 is the maximum
+		{39, 0.95, 37}, {39, 0.50, 19}, {39, 0.99, 38}, {150, 0.99, 148},
+		{100, 0.95, 94}, {100, 0.50, 49}, {1, 0.99, 0}, {10, 0.01, 0}, {4, 1.0, 3},
 		// Float guard: 0.07·100 is 7.000000000000001 in float64; a naive
 		// ceil would overshoot to rank 7 where exact ⌈7⌉−1 = 6.
 		{100, 0.07, 6},
 	}
 	for _, tt := range tests {
-		if got := Percentile(seq(tt.n), tt.q); got != tt.want {
+		if got := rsm.Percentile(seq(tt.n), tt.q); got != tt.want {
 			t.Errorf("Percentile(n=%d, q=%v) = %d, want %d", tt.n, tt.q, got, tt.want)
 		}
 	}
-	if got := Percentile(nil, 0.5); got != 0 {
+	if got := rsm.Percentile(nil, 0.5); got != 0 {
 		t.Errorf("Percentile(empty) = %d, want 0", got)
 	}
 }
 
 func TestZipfExponentZeroIsHonored(t *testing.T) {
-	// Regression: ZipfS == 0 used to be treated as "unset → 0.99", so an
-	// explicit `-zipf 0` silently ran the YCSB default. Now an explicit 0
-	// runs s = 0 (uniform through the Zipf sampler) and must generate a
-	// different key sequence than s = 0.99.
-	keysFor := func(s float64) []string {
-		e, _ := workloadEngine(t, fullProvider, 1)
-		var keys []string
-		_, err := RunWorkload(e, WorkloadConfig{
+	// An explicit ZipfS of 0 runs s = 0 (uniform through the Zipf
+	// sampler), not the YCSB default: it must generate a different key
+	// sequence than s = 0.99, with no key as hot as 0.99's hottest.
+	keysFor := func(s float64) map[int]int {
+		groups, _ := workloadGroups(t, adversary.Full{})
+		keys := make(map[int]int)
+		_, err := rsm.RunWorkload(groups, rsm.WorkloadConfig{
 			Clients: 4, Rate: 0.9, WriteRatio: 1, Keys: 64,
-			Dist: Zipfian, ZipfS: s, Ops: 80, MaxSlots: 400, Seed: 9,
-		}, func(op Op) string {
-			k := fmt.Sprintf("k%d", op.Key)
-			keys = append(keys, k)
-			return k
-		})
+			Dist: rsm.Zipfian, ZipfS: s, Ops: 80, MaxTicks: 2000, Seed: 9,
+		}, func(op rsm.Op) cmd {
+			keys[op.Key]++
+			return kvstore.WorkloadCommand(op)
+		}, nil)
 		if err != nil {
 			t.Fatalf("s=%v: %v", s, err)
 		}
 		return keys
 	}
+	hottest := func(m map[int]int) int {
+		best := 0
+		for _, c := range m {
+			best = max(best, c)
+		}
+		return best
+	}
 	zero, ycsb := keysFor(0), keysFor(0.99)
 	if fmt.Sprint(zero) == fmt.Sprint(ycsb) {
 		t.Error("ZipfS=0 generated the same keys as ZipfS=0.99 — the explicit 0 was overridden")
 	}
-	// s = 0 is uniform: with 80 draws over 64 keys no key should dominate
-	// the way a 0.99-skewed stream's hottest key does.
-	count := func(keys []string) map[string]int {
-		m := make(map[string]int)
-		for _, k := range keys {
-			m[k]++
-		}
-		return m
-	}
-	max := func(m map[string]int) int {
-		best := 0
-		for _, c := range m {
-			if c > best {
-				best = c
-			}
-		}
-		return best
-	}
-	if mz, my := max(count(zero)), max(count(ycsb)); mz >= my {
+	if mz, my := hottest(zero), hottest(ycsb); mz >= my {
 		t.Errorf("hottest-key count under s=0 (%d) not below s=0.99 (%d) — s=0 should be uniform", mz, my)
 	}
 }
 
 func TestWorkloadValidation(t *testing.T) {
-	good := WorkloadConfig{Clients: 1, Rate: 0.5, WriteRatio: 0.5, Keys: 1, Ops: 1, MaxSlots: 10, Seed: 1}
-	mutations := []func(*WorkloadConfig){
-		func(c *WorkloadConfig) { c.Clients = 0 },
-		func(c *WorkloadConfig) { c.Rate = 0 },
-		func(c *WorkloadConfig) { c.Rate = 1.5 },
-		func(c *WorkloadConfig) { c.WriteRatio = -0.1 },
-		func(c *WorkloadConfig) { c.Keys = 0 },
-		func(c *WorkloadConfig) { c.Ops = 0 },
-		func(c *WorkloadConfig) { c.MaxSlots = 0 },
-		func(c *WorkloadConfig) { c.ZipfS = -0.5 },
+	good := rsm.WorkloadConfig{Clients: 1, Rate: 0.5, WriteRatio: 0.5, Keys: 1, Ops: 1, MaxTicks: 10, Seed: 1}
+	mutations := []func(*rsm.WorkloadConfig){
+		func(c *rsm.WorkloadConfig) { c.Clients = 0 },
+		func(c *rsm.WorkloadConfig) { c.Rate = 0 },
+		func(c *rsm.WorkloadConfig) { c.Rate = 1.5 },
+		func(c *rsm.WorkloadConfig) { c.WriteRatio = -0.1 },
+		func(c *rsm.WorkloadConfig) { c.Keys = 0 },
+		func(c *rsm.WorkloadConfig) { c.Ops = 0 },
+		func(c *rsm.WorkloadConfig) { c.MaxTicks = 0 },
+		func(c *rsm.WorkloadConfig) { c.ZipfS = -0.5 },
 	}
 	for i, mut := range mutations {
-		e, _ := workloadEngine(t, fullProvider, 1)
+		groups, _ := workloadGroups(t, adversary.Full{})
 		cfg := good
 		mut(&cfg)
-		if _, err := RunWorkload(e, cfg, opCmd); err == nil {
+		if _, err := rsm.RunWorkload(groups, cfg, kvstore.WorkloadCommand, nil); err == nil {
 			t.Errorf("mutation %d accepted: %+v", i, cfg)
 		}
 	}
-	e, _ := workloadEngine(t, fullProvider, 1)
-	if _, err := RunWorkload[string](e, good, nil); err == nil {
+	groups, _ := workloadGroups(t, adversary.Full{})
+	if _, err := rsm.RunWorkload[cmd](groups, good, nil, nil); err == nil {
 		t.Error("nil makeCmd accepted")
 	}
-	// A used engine is rejected.
-	e2, _ := workloadEngine(t, fullProvider, 1)
-	e2.Submit(1, 1, "x")
-	if _, err := RunWorkload(e2, good, opCmd); err == nil {
-		t.Error("non-fresh engine accepted")
+	if _, err := rsm.RunWorkload[cmd](nil, good, kvstore.WorkloadCommand, nil); err == nil {
+		t.Error("no groups accepted")
+	}
+	two, _ := workloadGroups(t, adversary.Full{}, adversary.Full{})
+	if _, err := rsm.RunWorkload(two, good, kvstore.WorkloadCommand, nil); err == nil {
+		t.Error("nil router over two groups accepted")
+	}
+	// A used group is rejected.
+	used, _ := workloadGroups(t, adversary.Full{})
+	used[0].Tick()
+	if _, err := rsm.RunWorkload(used, good, kvstore.WorkloadCommand, nil); err == nil {
+		t.Error("non-fresh group accepted")
 	}
 }

@@ -19,13 +19,13 @@
 # BENCH_sim.json (bench_sim/v1) records ns/op, B/op and allocs/op for
 # every BenchmarkSim_* and BenchmarkRunner_* benchmark, plus the wall
 # time of a full `hobench -exp e9` table (the 240-cell loss sweep).
-# BENCH_kv.json (bench_kv/v2) records cmds/sec, slots/cmd and — for the
-# sharded suite — shards and aggregate cmds/round for every
-# BenchmarkRSM_* and BenchmarkShard_* benchmark, plus the wall time of
-# `hobench -exp e10,e11` (the closed-loop service + sharded tables).
-# v2 over v1: the shards / cmds_per_round fields and the BenchmarkShard_*
-# rows (the cmds/round curve across shards=1..8 is the weak-scaling
-# measurement of the sharded layer).
+# BENCH_kv.json (bench_kv/v3) records cmds/sec, slots/cmd, shards and
+# cmds/round (commands per virtual round) for every BenchmarkRSM_*
+# benchmark, plus the wall time of `hobench -exp e10,e11` (the
+# closed-loop service + sharded tables). v3 over v2: the rows measure
+# internal/rsm's virtual-round driver over live.ReplicaCore; the
+# BenchmarkShard_* rows are gone (BenchmarkRSM_ShardedWorkload covers
+# several groups).
 # BENCH_live.json (bench_live/v1) records the durability tax: WAL append
 # throughput with and without fsync (BenchmarkWAL_*, ops/sec), recovery
 # replay time per 10k log records (BenchmarkWAL_Replay10k, ns/op), and
@@ -92,9 +92,9 @@ END {
 
 echo "bench.sh: wrote $OUT" >&2
 
-echo "bench.sh: go test -bench 'BenchmarkRSM_|BenchmarkShard_' -benchtime $BENCHTIME ./internal/rsm ./internal/shard" >&2
-go test -run '^$' -bench 'BenchmarkRSM_|BenchmarkShard_' -benchmem \
-	-benchtime "$BENCHTIME" -count "$COUNT" ./internal/rsm ./internal/shard | tee /dev/stderr >"$raw.kv"
+echo "bench.sh: go test -bench 'BenchmarkRSM_' -benchtime $BENCHTIME ./internal/rsm" >&2
+go test -run '^$' -bench 'BenchmarkRSM_' -benchmem \
+	-benchtime "$BENCHTIME" -count "$COUNT" ./internal/rsm | tee /dev/stderr >"$raw.kv"
 
 echo "bench.sh: timing hobench -exp e10,e11" >&2
 go build -o "$raw.hobench" ./cmd/hobench
@@ -127,7 +127,7 @@ awk -v benchtime="$BENCHTIME" -v goversion="$go_version" -v date="$date_utc" \
 }
 END {
 	printf "{\n"
-	printf "  \"schema\": \"bench_kv/v2\",\n"
+	printf "  \"schema\": \"bench_kv/v3\",\n"
 	printf "  \"date\": \"%s\",\n", date
 	printf "  \"commit\": \"%s\",\n", commit
 	printf "  \"go\": \"%s\",\n", goversion
