@@ -25,6 +25,9 @@
 //	GET    /stats      per-group counters, decision-log and state
 //	                   fingerprints (what the smoke jobs diff across
 //	                   nodes to prove zero divergence)
+//	GET    /debug/pprof/  the runtime profiler (net/http/pprof): CPU,
+//	                   heap, goroutine, mutex and block profiles of a
+//	                   running node, always on
 //
 // Fault injection (-loss, -delay, for chaos drills) applies at the
 // transport layer of THIS process only — the algorithms are never told.
@@ -47,6 +50,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -229,6 +233,7 @@ func run() error {
 			writeStats(w, nd)
 		}
 	})
+	handlePprof(mux)
 
 	httpLn, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
@@ -276,4 +281,16 @@ func writeStats(w io.Writer, nd *livekv.Node) {
 			st.Stats.Committed, st.Stats.Divergent, st.Stats.SyncDecisions,
 			st.Stats.Pending, st.Stats.BatchesHeld)
 	}
+}
+
+// handlePprof registers net/http/pprof's handlers on mux, so a profile
+// of a real deployment is one `go tool pprof http://<node>/debug/pprof/profile`
+// away. The package's import-time registration targets
+// http.DefaultServeMux, which hoserve does not serve.
+func handlePprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }

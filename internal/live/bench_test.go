@@ -70,3 +70,39 @@ func BenchmarkReplica_PersistedSlot(b *testing.B) {
 	defer s.Close()
 	benchSlot(b, s)
 }
+
+// BenchmarkTCP_Burst is the transport rung: two TCPTransports on
+// loopback, and one op is a burst of tcpBurst round-sized envelopes
+// sent from p0 to p1 and awaited at p1. It prices the framing, the
+// coalescing writer and the buffered reader without a replica on top.
+func BenchmarkTCP_Burst(b *testing.B) {
+	const tcpBurst = 64
+	a, c := tcpPair(b)
+	env := Envelope{Group: 1, Slot: 1000, Round: 3, Kind: KindRound, Payload: make([]byte, 24)}
+	lost := time.NewTimer(time.Hour) // one timer, reset per burst: no allocs
+	defer lost.Stop()
+	await := func(k int) {
+		lost.Reset(10 * time.Second)
+		for ; k > 0; k-- {
+			select {
+			case <-c.Recv():
+			case <-lost.C:
+				b.Fatal("envelope lost on loopback")
+			}
+		}
+	}
+	a.Send(1, env) // dial and warm both buffers before timing
+	await(1)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < tcpBurst; k++ {
+			env.Slot++
+			a.Send(1, env)
+		}
+		await(tcpBurst)
+	}
+	b.ReportMetric(float64(b.N*tcpBurst)/time.Since(start).Seconds(), "envelopes/sec")
+}

@@ -13,9 +13,14 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{Group: 0, Slot: 1, Round: 1, From: 0, Kind: KindRound, Payload: []byte{1, 2, 3}},
 		{Group: 7, Slot: 1 << 40, Round: 9999, From: 63, Kind: KindSyncPull, Payload: nil},
 		{Group: 1<<32 - 1, Slot: 0, Round: 0, From: 5, Kind: KindBatch, Payload: bytes.Repeat([]byte{0xAB}, 512)},
+		{Group: 127, Slot: 128, Round: 1<<31 - 1, From: 63, Kind: KindSync, Payload: []byte{9}},
+		{Group: 128, Slot: 1<<64 - 1, Round: 1 << 31, From: 0, Kind: KindBatchPull},
 	}
 	for _, want := range cases {
 		enc := AppendEnvelope(nil, want)
+		if n := envelopeLen(want); n != len(enc) {
+			t.Fatalf("envelopeLen(%+v) = %d, encoding is %d bytes", want, n, len(enc))
+		}
 		got, err := DecodeEnvelope(enc)
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", want, err)

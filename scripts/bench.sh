@@ -26,11 +26,14 @@
 # internal/rsm's virtual-round driver over live.ReplicaCore; the
 # BenchmarkShard_* rows are gone (BenchmarkRSM_ShardedWorkload covers
 # several groups).
-# BENCH_live.json (bench_live/v1) records the durability tax: WAL append
+# BENCH_live.json (bench_live/v2) records the durability tax: WAL append
 # throughput with and without fsync (BenchmarkWAL_*, ops/sec), recovery
 # replay time per 10k log records (BenchmarkWAL_Replay10k, ns/op), and
 # end-to-end committed slots/sec through a replica for the volatile /
-# buffered / fsync persistence variants (BenchmarkReplica_*).
+# buffered / fsync persistence variants (BenchmarkReplica_*), and the
+# transport rung: envelopes/sec and allocs per 64-envelope burst over
+# two loopback TCPTransports (BenchmarkTCP_*, envelopes_per_sec). v2
+# over v1: the envelopes_per_sec column and the BenchmarkTCP_* rows.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -140,8 +143,8 @@ END {
 
 echo "bench.sh: wrote $KVOUT" >&2
 
-echo "bench.sh: go test -bench 'BenchmarkWAL_|BenchmarkReplica_' -benchtime $BENCHTIME ./internal/wal ./internal/live" >&2
-go test -run '^$' -bench 'BenchmarkWAL_|BenchmarkReplica_' -benchmem \
+echo "bench.sh: go test -bench 'BenchmarkWAL_|BenchmarkReplica_|BenchmarkTCP_' -benchtime $BENCHTIME ./internal/wal ./internal/live" >&2
+go test -run '^$' -bench 'BenchmarkWAL_|BenchmarkReplica_|BenchmarkTCP_' -benchmem \
 	-benchtime "$BENCHTIME" -count "$COUNT" ./internal/wal ./internal/live | tee /dev/stderr >"$raw.live"
 
 awk -v benchtime="$BENCHTIME" -v goversion="$go_version" -v date="$date_utc" \
@@ -151,20 +154,21 @@ awk -v benchtime="$BENCHTIME" -v goversion="$go_version" -v date="$date_utc" \
 	sub(/-[0-9]+$/, "", name)
 	sub(/^Benchmark/, "", name)
 	iters = $2
-	ns = ""; ops = ""; slots = ""; allocs = ""
+	ns = ""; ops = ""; slots = ""; envs = ""; allocs = ""
 	for (i = 3; i < NF; i++) {
-		if ($(i+1) == "ns/op")     ns = $i
-		if ($(i+1) == "ops/sec")   ops = $i
-		if ($(i+1) == "slots/sec") slots = $i
-		if ($(i+1) == "allocs/op") allocs = $i
+		if ($(i+1) == "ns/op")         ns = $i
+		if ($(i+1) == "ops/sec")       ops = $i
+		if ($(i+1) == "slots/sec")     slots = $i
+		if ($(i+1) == "envelopes/sec") envs = $i
+		if ($(i+1) == "allocs/op")     allocs = $i
 	}
-	line = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"ops_per_sec\": %s, \"slots_per_sec\": %s, \"allocs_per_op\": %s}",
-		name, iters, ns, ops == "" ? "null" : ops, slots == "" ? "null" : slots, allocs == "" ? "null" : allocs)
+	line = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"ops_per_sec\": %s, \"slots_per_sec\": %s, \"envelopes_per_sec\": %s, \"allocs_per_op\": %s}",
+		name, iters, ns, ops == "" ? "null" : ops, slots == "" ? "null" : slots, envs == "" ? "null" : envs, allocs == "" ? "null" : allocs)
 	rows[n++] = line
 }
 END {
 	printf "{\n"
-	printf "  \"schema\": \"bench_live/v1\",\n"
+	printf "  \"schema\": \"bench_live/v2\",\n"
 	printf "  \"date\": \"%s\",\n", date
 	printf "  \"commit\": \"%s\",\n", commit
 	printf "  \"go\": \"%s\",\n", goversion
